@@ -35,7 +35,11 @@ def _load_complex(token: str, cap: int | None, basepoint: int | None) -> complex
         return simplify.reduce(khovanov.build_complex(pd, cap=cap))
     if os.path.exists(stripped):
         with open(stripped, "r", encoding="utf-8") as fh:
-            return complexes.from_json(fh.read())
+            c = complexes.from_json(fh.read())
+        problems = complexes.validate(c)
+        if problems:
+            raise InputError(f"{stripped} is not a valid complex: " + "; ".join(problems))
+        return c
     raise InputError(f"cannot interpret input {token!r}: not PD/BR notation or a readable file")
 
 

@@ -388,15 +388,30 @@ def to_json(complex: GradedComplex, indent: int | None = None) -> str:
 
 
 def from_json(text: str) -> GradedComplex:
+    """Parse to_json output; a malformed payload raises ValueError naming the field.
+
+    The complex is not validated here; see validate.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "generators" not in payload:
+    if not isinstance(payload, dict):
         raise ValueError("complex JSON must be an object with a 'generators' list")
-    gens = [Generator(str(g["id"]), int(g["t"]), int(g["q"])) for g in payload["generators"]]
+
+    def field(obj, key: str, kind, where: str):
+        try:
+            return kind(obj[key])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{where}: missing or malformed field {key!r}") from exc
+
+    gens = []
+    for i, g in enumerate(field(payload, "generators", list, "complex")):
+        where = f"generator {i}"
+        gens.append(Generator(field(g, "id", str, where), field(g, "t", int, where), field(g, "q", int, where)))
     entries = {}
-    for e in payload.get("diff", []):
-        val = GElem(int(str(e["coeff"])), int(e["gpow"]))
-        entries[(str(e["from"]), str(e["to"]))] = val
+    for i, e in enumerate(field(payload, "diff", list, "complex") if "diff" in payload else []):
+        where = f"entry {i}"
+        val = GElem(field(e, "coeff", lambda c: int(str(c)), where), field(e, "gpow", int, where))
+        entries[(field(e, "from", str, where), field(e, "to", str, where))] = val
     return GradedComplex(gens, entries)

@@ -252,10 +252,8 @@ def smith_form(a: list[list[int]]) -> SmithForm:
                     row_scale(i + 1, -1)
                 changed = True
 
+    # pivots were taken while any nonzero entry remained, so zeros come last
     factors = [d[i][i] for i in range(min(m, n))]
-    # zero factors last; nonzero ones already form a chain
-    nonzero = [f for f in factors if f]
-    factors = nonzero + [0] * (min(m, n) - len(nonzero))
     return SmithForm(factors=factors, u=u, uinv=uinv, v=v)
 
 

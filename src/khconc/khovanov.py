@@ -23,13 +23,12 @@ Rasmussen invariant +2 in every characteristic.
 
 from __future__ import annotations
 
-import heapq
 import os
 import re
 from dataclasses import dataclass
 
 from .complexes import ComplexBuilder, GElem, GradedComplex
-from .simplify import _cancel, reduce as reduce_complex
+from .simplify import _cancel_units
 
 DEFAULT_CROSSING_CAP = 12
 CAP_ENV_VAR = "KHCONC_CROSSING_CAP"
@@ -65,9 +64,6 @@ class PDCode:
     @property
     def n_minus(self) -> int:
         return sum(1 for s in self.signs if s < 0)
-
-    def arcs(self) -> tuple[int, ...]:
-        return self.arc_order
 
 
 def analyze_pd(
@@ -399,7 +395,7 @@ def frobenius_consistent() -> bool:
 
 def _circles(pd: PDCode, vertex: int) -> list[frozenset[int]]:
     """Circles of the given resolution, each a frozenset of arcs, sorted."""
-    parent: dict[int, int] = {a: a for a in pd.arcs()}
+    parent: dict[int, int] = {a: a for a in pd.arc_order}
 
     def find(a):
         while parent[a] != a:
@@ -420,7 +416,7 @@ def _circles(pd: PDCode, vertex: int) -> list[frozenset[int]]:
             union(a, d)
             union(b, c)
     groups: dict[int, set[int]] = {}
-    for a in pd.arcs():
+    for a in pd.arc_order:
         groups.setdefault(find(a), set()).add(a)
     return sorted((frozenset(g) for g in groups.values()), key=min)
 
@@ -456,7 +452,10 @@ def _emit_edge(
     crossing: int,
     tvd: _VertexData,
 ) -> None:
-    """All differential entries from src_vertex along one cube edge."""
+    """All differential entries from src_vertex along one cube edge.
+
+    Generators already removed by cancellation are skipped.
+    """
     tgt_vertex = src_vertex | (1 << crossing)
     sign = -1 if (src_vertex & ((1 << crossing) - 1)).bit_count() % 2 else 1
     svc, tvc = svd.circles, tvd.circles
@@ -480,6 +479,8 @@ def _emit_edge(
 
     for smask in range(1 << len(svd.ordinary)):
         src_id = f"{src_vertex}:{smask}"
+        if src_id not in b.gens:
+            continue
         base_labels = {}
         for i in carry:
             base_labels[carry[i]] = label_of(smask, i)
@@ -493,7 +494,8 @@ def _emit_edge(
                 labels = dict(base_labels)
                 labels[ic] = label
                 tgt_id = f"{tgt_vertex}:{target_mask(labels)}"
-                b.add_entry(src_id, tgt_id, GElem(sign * scal, gpow))
+                if tgt_id in b.gens:
+                    b.add_entry(src_id, tgt_id, GElem(sign * scal, gpow))
         else:
             (ia,) = involved_src
             la = label_of(smask, ia)
@@ -506,7 +508,8 @@ def _emit_edge(
                 labels[ic] = lold
                 labels[id_] = lnew
                 tgt_id = f"{tgt_vertex}:{target_mask(labels)}"
-                b.add_entry(src_id, tgt_id, GElem(sign * scal, gpow))
+                if tgt_id in b.gens:
+                    b.add_entry(src_id, tgt_id, GElem(sign * scal, gpow))
 
 
 def _crossing_cap(cap: int | None) -> int:
@@ -521,15 +524,14 @@ def _crossing_cap(cap: int | None) -> int:
     return DEFAULT_CROSSING_CAP
 
 
-def build_complex(
-    pd: PDCode, cap: int | None = None, assembly: str = "auto"
-) -> GradedComplex:
+def build_complex(pd: PDCode, cap: int | None = None) -> GradedComplex:
     """The reduced universal Khovanov complex of the diagram.
 
-    Up to FULL_CUBE_LIMIT crossings the full cube is returned (and is the
-    exact cube complex); above that the cube is streamed one homological
-    slice at a time with unit cancellation interleaved, which yields a
-    homotopy equivalent representative at a fraction of the memory.
+    One slice loop builds every cube.  Up to FULL_CUBE_LIMIT crossings it
+    returns the exact cube complex; above that it streams, cancelling unit
+    pivots between each pair of adjacent slices before the next slice is
+    emitted, which keeps a fraction of the cube in memory.  The streamed
+    result equals simplify.reduce of the exact cube, byte for byte.
     """
     n = len(pd.crossings)
     limit = _crossing_cap(cap)
@@ -537,157 +539,33 @@ def build_complex(
         raise ResourceCapError(
             f"diagram has {n} crossings, cap is {limit} (raise it explicitly to proceed)"
         )
-    if assembly not in ("auto", "full", "scan"):
-        raise ValueError(f"unknown assembly mode {assembly!r}")
-    if assembly == "auto":
-        assembly = "full" if n <= FULL_CUBE_LIMIT else "scan"
-    if assembly == "full":
-        return _build_full(pd)
-    return _build_scan(pd)
+    return _build(pd, stream=n > FULL_CUBE_LIMIT)
 
 
-def _vertex_data_cache(pd: PDCode):
-    cache: dict[int, _VertexData] = {}
+def _build(pd: PDCode, stream: bool) -> GradedComplex:
+    """Emit the cube one homological slice at a time, with the edges into it.
 
-    def get(v: int) -> _VertexData:
-        if v not in cache:
-            cache[v] = _VertexData(pd, v)
-        return cache[v]
-
-    return cache, get
-
-
-def _build_full(pd: PDCode) -> GradedComplex:
-    n = len(pd.crossings)
-    b = ComplexBuilder()
-    _, vdata = _vertex_data_cache(pd)
-    order = sorted(range(1 << n), key=lambda v: (v.bit_count(), v))
-    for v in order:
-        _emit_vertex_gens(b, pd, v, vdata(v))
-    for v in order:
-        svd = vdata(v)
-        for j in range(n):
-            if not (v >> j) & 1:
-                _emit_edge(b, pd, v, svd, j, vdata(v | (1 << j)))
-    return b.freeze()
-
-
-def _build_scan(pd: PDCode) -> GradedComplex:
-    """Weight-slice streaming with interleaved unit cancellation.
-
-    Cancelling a unit entry between slices k-1 and k only rewrites entries
-    between those slices; outgoing differentials of surviving generators are
-    the original cube entries, so later slices can be emitted against the
-    survivors and the result is homotopy equivalent to the full cube.
+    With stream set, unit pivots between the two newest slices are cancelled
+    before the next slice is emitted.  Cancelling only rewrites entries
+    between those two slices, and the outgoing differentials of survivors
+    are still the original cube entries, so later slices can be emitted
+    against the survivors; the pivots come in the order reduce takes them.
     """
     n = len(pd.crossings)
     b = ComplexBuilder()
-    cache, vdata = _vertex_data_cache(pd)
-    by_weight: dict[int, list[int]] = {}
-    for v in range(1 << n):
-        by_weight.setdefault(v.bit_count(), []).append(v)
-    prev_slice: list[int] = []
+    prev: dict[int, _VertexData] = {}
     for weight in range(n + 1):
-        slice_vertices = sorted(by_weight.get(weight, []))
-        for v in slice_vertices:
-            _emit_vertex_gens(b, pd, v, vdata(v))
-        for v in prev_slice:
-            svd = vdata(v)
+        cur = {v: _VertexData(pd, v) for v in range(1 << n) if v.bit_count() == weight}
+        for v, vdata in cur.items():
+            _emit_vertex_gens(b, pd, v, vdata)
+        for v, svd in prev.items():
             for j in range(n):
                 if not (v >> j) & 1:
-                    _emit_edge_surviving(b, pd, v, svd, j, vdata(v | (1 << j)))
-        # cancel unit pivots between the two newest slices until none remain
-        heap: list[tuple[str, str]] = []
-        for v in prev_slice:
-            prefix = f"{v}:"
-            for mask in range(1 << len(vdata(v).ordinary)):
-                src = prefix + str(mask)
-                if src not in b.gens:
-                    continue
-                for tgt, val in b.out[src].items():
-                    if val.is_unit():
-                        heap.append((src, tgt))
-        heapq.heapify(heap)
-        while heap:
-            src, tgt = heapq.heappop(heap)
-            if src not in b.gens or tgt not in b.gens:
-                continue
-            val = b.entry(src, tgt)
-            if not val.is_unit():
-                continue
-            touched = [a for a in b.inc[tgt] if a != src]
-            _cancel(b, src, tgt, val.scalar)
-            for a in touched:
-                if a not in b.gens:
-                    continue
-                for z, v2 in b.out[a].items():
-                    if v2.is_unit():
-                        heapq.heappush(heap, (a, z))
-        for v in prev_slice:
-            cache.pop(v, None)
-        prev_slice = slice_vertices
-    return reduce_complex(b.freeze())
-
-
-def _emit_edge_surviving(
-    b: ComplexBuilder,
-    pd: PDCode,
-    src_vertex: int,
-    svd: _VertexData,
-    crossing: int,
-    tvd: _VertexData,
-) -> None:
-    """Like _emit_edge but skips generators removed by earlier cancellation."""
-    tgt_vertex = src_vertex | (1 << crossing)
-    sign = -1 if (src_vertex & ((1 << crossing) - 1)).bit_count() % 2 else 1
-    svc, tvc = svd.circles, tvd.circles
-    involved_src = [i for i, c in enumerate(svc) if c not in tvd.index_of]
-    involved_tgt = [i for i, c in enumerate(tvc) if c not in svd.index_of]
-    carry = {i: tvd.index_of[c] for i, c in enumerate(svc) if c in tvd.index_of}
-
-    def label_of(svmask: int, circle_index: int) -> str:
-        if circle_index == svd.bp_index:
-            return LABEL_BP
-        pos = svd.ordinary.index(circle_index)
-        return LABEL_X if (svmask >> pos) & 1 else LABEL_ONE
-
-    def target_mask(labels: dict[int, str]) -> int:
-        mask = 0
-        for pos, ci in enumerate(tvd.ordinary):
-            if labels[ci] == LABEL_X:
-                mask |= 1 << pos
-        return mask
-
-    for smask in range(1 << len(svd.ordinary)):
-        src_id = f"{src_vertex}:{smask}"
-        if src_id not in b.gens:
-            continue
-        base_labels = {carry[i]: label_of(smask, i) for i in carry}
-        if len(involved_src) == 2:
-            ia, ib = involved_src
-            la, lb = label_of(smask, ia), label_of(smask, ib)
-            if lb == LABEL_BP:
-                la, lb = lb, la
-            (ic,) = involved_tgt
-            for label, scal, gpow in MERGE[(la, lb)]:
-                labels = dict(base_labels)
-                labels[ic] = label
-                tgt_id = f"{tgt_vertex}:{target_mask(labels)}"
-                if tgt_id in b.gens:
-                    b.add_entry(src_id, tgt_id, GElem(sign * scal, gpow))
-        else:
-            (ia,) = involved_src
-            la = label_of(smask, ia)
-            ic, id_ = involved_tgt
-            if pd.basepoint in tvc[id_]:
-                ic, id_ = id_, ic
-            for lold, lnew, scal, gpow in SPLIT[la]:
-                labels = dict(base_labels)
-                labels[ic] = lold
-                labels[id_] = lnew
-                tgt_id = f"{tgt_vertex}:{target_mask(labels)}"
-                if tgt_id in b.gens:
-                    b.add_entry(src_id, tgt_id, GElem(sign * scal, gpow))
+                    _emit_edge(b, pd, v, svd, j, cur[v | (1 << j)])
+        if stream:
+            _cancel_units(b)
+        prev = cur
+    return b.freeze()
 
 
 def seifert_circle_count(pd: PDCode) -> int:
@@ -708,5 +586,5 @@ def positive_diagram_degree_check(pd: PDCode) -> bool:
     if pd.n_minus:
         raise ValueError("diagram is not positive")
     bound = 1 + len(pd.crossings) - seifert_circle_count(pd)
-    complex = _build_full(pd)
+    complex = _build(pd, stream=False)
     return all(g.qdeg >= bound for g in complex.generators if g.tdeg == 0)

@@ -58,20 +58,27 @@ def _cancel(b: ComplexBuilder, src: str, tgt: str, unit: int) -> None:
 
 
 def reduce(complex: GradedComplex) -> GradedComplex:
-    """Cancel unit pivots until none remain.
+    """Cancel unit pivots until none remain."""
+    b = complex.builder()
+    _cancel_units(b)
+    return b.freeze()
+
+
+def _cancel_units(b: ComplexBuilder) -> None:
+    """Cancel unit entries in place until none remain.
 
     Pivots are processed lowest homological degree first, then by source and
     target id, so the output representative is reproducible byte for byte.
     """
-    b = complex.builder()
-    heap: list[tuple[int, str, str]] = []
-    for src, row in b.out.items():
-        t = b.gens[src].tdeg
-        for tgt, v in row.items():
-            if v.is_unit():
-                heapq.heappush(heap, (t, src, tgt))
+    heap = [
+        (b.gens[src].tdeg, src, tgt)
+        for src, row in b.out.items()
+        for tgt, v in row.items()
+        if v.is_unit()
+    ]
+    heapq.heapify(heap)
     while heap:
-        t, src, tgt = heapq.heappop(heap)
+        _, src, tgt = heapq.heappop(heap)
         if src not in b.gens or tgt not in b.gens:
             continue
         val = b.entry(src, tgt)
@@ -84,7 +91,6 @@ def reduce(complex: GradedComplex) -> GradedComplex:
             for z, v in b.out[a].items():
                 if v.is_unit():
                     heapq.heappush(heap, (ta, a, z))
-    return b.freeze()
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,7 @@ def double_pd(pd, clasp="A"):
 
     f_copy = {}
     b_copy = {}
-    for arc in pd.arcs():
+    for arc in pd.arc_order:
         f_copy[arc] = fresh()
         b_copy[arc] = fresh()
 

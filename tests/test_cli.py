@@ -1,4 +1,9 @@
+import contextlib
+import io
 import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from khconc import build_ck, to_json, unit_complex, shift
 from khconc.cli import main
@@ -127,3 +132,71 @@ def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "kh", RIGHT_TREFOIL, "--json")
     _, out2, _ = run(capsys, "kh", RIGHT_TREFOIL, "--json")
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("s", {"generators": [{"id": "a", "q": 0}]}),
+        ("validate", {"generators": [{"id": "a", "q": 0}]}),
+        (
+            "s",
+            {
+                "generators": [{"id": x, "t": t, "q": 0} for t, x in enumerate("abc")],
+                "diff": [
+                    {"from": "a", "to": "b", "coeff": "1", "gpow": 0},
+                    {"from": "b", "to": "c", "coeff": "1", "gpow": 0},
+                ],
+            },
+        ),
+        ("s", {"generators": [{"id": "a", "t": 0, "q": 1}]}),
+    ],
+    ids=["missing-field", "missing-field-validate", "d-squared", "odd-q"],
+)
+def test_malformed_complex_file_is_exit_one(tmp_path, capsys, command, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, command, str(path))
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 5), st.floats(), st.text(max_size=3),
+    st.just([]), st.just({}),
+)
+
+
+def _mutated_ck1(data):
+    """C^1 as complex JSON after one to three drawn mutations."""
+    payload = json.loads(to_json(build_ck(1)))
+    gens, diff = payload["generators"], payload["diff"]
+    ids = [g["id"] for g in gens]
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["drop", "retype", "odd_q", "gpow", "dangle"]))
+        if kind in ("drop", "retype"):
+            target = data.draw(st.sampled_from([d for d in [payload, *gens, *diff] if d]))
+            key = data.draw(st.sampled_from(sorted(target)))
+            if kind == "drop":
+                del target[key]
+            else:
+                target[key] = data.draw(JSON_VALUES)
+        elif kind == "odd_q":
+            data.draw(st.sampled_from(gens))["q"] = data.draw(st.integers(-5, 5)) * 2 + 1
+        elif kind == "gpow":
+            data.draw(st.sampled_from(diff))["gpow"] = data.draw(st.integers(-2, 4))
+        else:
+            entry = data.draw(st.sampled_from(diff))
+            entry[data.draw(st.sampled_from(["from", "to"]))] = data.draw(st.sampled_from(["zz", *ids]))
+    return payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_complex_file_exits_cleanly(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(_mutated_ck1(data)))
+    for command in ("s", "validate"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([command, str(path)]) in (0, 1)

@@ -82,6 +82,7 @@ def test_smith_form_relations(a):
     ident = intmat.matmul(s.u, s.uinv)
     assert ident == intmat.identity(m)
     chain = [f for f in s.factors if f]
+    assert s.factors[len(chain):] == [0] * (len(s.factors) - len(chain))
     assert all(f > 0 for f in chain)
     for x, y in zip(chain, chain[1:]):
         assert y % x == 0

@@ -15,11 +15,12 @@ from khconc import (
     schuetz_sz,
     shift,
     tensor,
+    to_json,
     unit_complex,
     validate,
     z_equivalent,
 )
-from khconc.khovanov import frobenius_consistent, seifert_circle_count
+from khconc.khovanov import _build, frobenius_consistent, seifert_circle_count
 from khconc.invariants import integer_homology_profile
 
 RIGHT_TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
@@ -164,14 +165,15 @@ class TestCubeStructure:
         with pytest.raises(ResourceCapError):
             build_complex(parse_braid("BR[2; 1,1,1,1,1]"), cap=4)
 
-    def test_scan_mode_matches_full(self):
-        pd = parse_pd(FIGURE_EIGHT)
-        full = reduce(build_complex(pd, assembly="full"))
-        scanned = build_complex(pd, assembly="scan")
-        assert validate(scanned) == []
-        assert z_equivalent(full, scanned)
-        for char in (0, 2):
-            assert rasmussen_s(full, char) == rasmussen_s(scanned, char)
+    def test_streamed_build_equals_reduced_cube(self):
+        pds = [parse_pd(RIGHT_TREFOIL, basepoint=bp) for bp in (2, 3, 6)]
+        pds += [parse_pd(FIGURE_EIGHT)]
+        pds += [parse_braid(w) for w in ("BR[3; 1,1,1,-2,1,-2]", "BR[2; 1,1,1,1,1]", "BR[3; 1,2,1,2,1,2,1,2]")]
+        pds += [connected_sum_pd(parse_braid("BR[2; 1,1,1]"), parse_braid("BR[2; -1,-1,-1]"))]
+        for pd in pds:
+            streamed = _build(pd, stream=True)
+            assert to_json(streamed) == to_json(reduce(_build(pd, stream=False)))
+            assert validate(streamed) == []
 
 
 class TestMirrorAndSum:

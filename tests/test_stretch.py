@@ -38,7 +38,7 @@ def test_stretch_whitehead_double_of_trefoil():
     trefoil = parse_braid("BR[2; 1,1,1]")
     pd = support.double_pd(trefoil, clasp="A")
     assert len(pd.crossings) == 14
-    c = build_complex(pd, cap=14, assembly="scan")
+    c = build_complex(pd, cap=14)
     if time.perf_counter() - start > BUDGET_SECONDS:
         pytest.skip("stretch budget exceeded during assembly")
     assert validate(c) == []
