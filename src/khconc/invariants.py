@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import intmat
 from .complexes import GradedComplex
-from .simplify import NotKnotLikeError, check_characteristic, field_normal_form
+from .simplify import NotKnotLikeError, field_normal_form
 
 
 def g1_matrix(complex: GradedComplex, tdeg: int) -> tuple[list[list[int]], list[str], list[str]]:
@@ -39,32 +39,14 @@ def g1_matrix(complex: GradedComplex, tdeg: int) -> tuple[list[list[int]], list[
 def integer_homology_profile(complex: GradedComplex) -> dict[int, tuple[int, list[int]]]:
     """Per homological degree: (free rank, torsion orders > 1) of H(C at G=1)."""
     lo, hi = complex.tdeg_range()
-    if hi < lo:
-        return {}
-    profile = {}
-    rank_at = {}
-    kernel_dim = {}
-    factors_at = {}
+    rank, kernel, torsion = {}, {}, {}
     for t in range(lo - 1, hi + 1):
         mat, srcs, _ = g1_matrix(complex, t)
-        if not srcs:
-            rank_at[t] = 0
-            kernel_dim[t] = 0
-            factors_at[t] = []
-            continue
-        if not mat:
-            rank_at[t] = 0
-            kernel_dim[t] = len(srcs)
-            factors_at[t] = []
-            continue
-        facs = intmat.invariant_factors(mat)
-        rank_at[t] = len(facs)
-        kernel_dim[t] = len(srcs) - len(facs)
-        factors_at[t] = [f for f in facs if f > 1]
-    for t in range(lo, hi + 1):
-        free = kernel_dim[t] - rank_at.get(t - 1, 0)
-        profile[t] = (free, factors_at.get(t - 1, []))
-    return profile
+        facs = intmat.invariant_factors(mat) if mat and srcs else []
+        rank[t] = len(facs)
+        kernel[t] = len(srcs) - len(facs)
+        torsion[t] = [f for f in facs if f > 1]
+    return {t: (kernel[t] - rank[t - 1], torsion[t - 1]) for t in range(lo, hi + 1)}
 
 
 def knotlike_check(complex: GradedComplex) -> bool:
@@ -80,7 +62,6 @@ def knotlike_check(complex: GradedComplex) -> bool:
 
 def rasmussen_s(complex: GradedComplex, characteristic: int) -> int:
     """Quantum degree of the rank-one summand of C (x) F[G], char F given."""
-    check_characteristic(characteristic)
     _, nf = field_normal_form(complex, characteristic)
     if nf.s is None:
         raise NotKnotLikeError("empty complex has no distinguished summand")

@@ -11,8 +11,9 @@ Three layers of simplification, in increasing strength:
   * field_normal_form: over a field F the complex tensored with F[G]
     decomposes into a single free rank-one summand, two-generator pieces
     F[G] --G^c--> F[G] with c > 0, and an acyclic remainder.  Computed by
-    graded elimination on the entry of globally minimal G-power, which
-    divides its whole row and column.
+    Gaussian elimination on the entry of least G-power, which divides its
+    whole row and column; G-powers are read off the quantum degrees, so the
+    input must pass validate, and only field scalars are stored.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import ComplexBuilder, GElem, Generator, GradedComplex
+from .complexes import ComplexBuilder, GElem, Generator, GradedComplex, validate
 
 
 class NotKnotLikeError(ValueError):
@@ -254,35 +255,6 @@ class NormalForm:
     pieces: tuple[tuple[int, int, int], ...]
 
 
-class FieldComplex:
-    """A graded complex over F[G] for F the minimal field of a characteristic.
-
-    Scalars are Fractions when characteristic is 0 and canonical residues
-    0..p-1 when it is a prime p.
-    """
-
-    __slots__ = ("characteristic", "generators", "entries")
-
-    def __init__(self, characteristic: int, generators, entries):
-        self.characteristic = characteristic
-        self.generators = tuple(generators)
-        self.entries = dict(entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldComplex)
-            and self.characteristic == other.characteristic
-            and self.generators == other.generators
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return (
-            f"FieldComplex(char={self.characteristic}, rank={len(self.generators)}, "
-            f"entries={len(self.entries)})"
-        )
-
-
 def check_characteristic(characteristic: int) -> None:
     if characteristic == 0:
         return
@@ -292,111 +264,85 @@ def check_characteristic(characteristic: int) -> None:
 
 def field_normal_form(
     complex: GradedComplex, characteristic: int
-) -> tuple[FieldComplex, NormalForm]:
-    """Graded elimination of C (x) F[G] down to its decomposition.
+) -> tuple[GradedComplex, NormalForm]:
+    """Gaussian elimination of C (x) F[G] down to its decomposition.
 
-    Repeatedly pick the nonzero entry of globally minimal G-power (ties by
-    homological degree, then ids); it divides every entry in its row and
-    column, so both can be cleared by homogeneous basis changes.  d^2 = 0
-    then forces the split pair off the rest of the complex.  Untouched
-    generators are the free rank-one summands; exactly one must remain, in
-    homological degree 0, and its quantum degree is s.
+    The complex must pass validate: G-powers are read off the degrees, an
+    entry v -> w being lambda*G^c with c = (q_w - q_v)/2, so only the field
+    scalars lambda are stored.  Repeatedly pick the entry of least G-power
+    (ties by homological degree, then ids); it divides every entry in its row
+    and column, so the elimination lemma removes v and w and subtracts
+    d(a,w) d(v,w)^-1 d(v,b) from every d(a,b).  A pair with c > 0 is a piece
+    F[G] --G^c--> F[G].  Exactly one generator must survive, in homological
+    degree 0, and its quantum degree is s.
+
+    Returns the normal form as a complex over Z[G] (generator "s" and pieces
+    "p<i>a" -> "p<i>b" of value G^c) together with its NormalForm data.
     """
     check_characteristic(characteristic)
+    problems = validate(complex)
+    if problems:
+        raise ValueError("field_normal_form: invalid complex: " + "; ".join(problems[:3]))
     p = characteristic
+    if p == 0:
+        scalar, inverse = Fraction, (lambda x: 1 / x)
+    else:
+        scalar, inverse = (lambda n: n % p), (lambda x: pow(x, -1, p))
 
-    def reduce_scalar(n: int):
-        return Fraction(n) if p == 0 else n % p
-
-    gens = {g.id: g for g in complex.generators}
-    out: dict[str, dict[str, tuple]] = {gid: {} for gid in gens}
-    inc: dict[str, dict[str, tuple]] = {gid: {} for gid in gens}
+    t = {g.id: g.tdeg for g in complex.generators}
+    q = {g.id: g.qdeg for g in complex.generators}
+    out: dict[str, dict[str, int | Fraction]] = {gid: {} for gid in t}
+    inc: dict[str, dict[str, int | Fraction]] = {gid: {} for gid in t}
     for src, tgt, val in complex.iter_entries():
-        scal = reduce_scalar(val.scalar)
-        if scal:
-            out[src][tgt] = (scal, val.gpow)
-            inc[tgt][src] = (scal, val.gpow)
-
-    def set_entry(src, tgt, scal, gpow):
-        if scal:
-            out[src][tgt] = (scal, gpow)
-            inc[tgt][src] = (scal, gpow)
-        else:
-            out[src].pop(tgt, None)
-            inc[tgt].pop(src, None)
-
-    def inv(x):
-        return 1 / x if p == 0 else pow(x, -1, p)
+        x = scalar(val.scalar)
+        if x:
+            out[src][tgt] = inc[tgt][src] = x
 
     pieces: list[tuple[int, int, int]] = []
     while True:
-        best = None
-        for src, row in out.items():
-            for tgt, (scal, gpow) in row.items():
-                key = (gpow, gens[src].tdeg, src, tgt)
-                if best is None or key < best[0]:
-                    best = (key, src, tgt)
-        if best is None:
+        pivot = None
+        for v, row in out.items():
+            qv, tv = q[v], t[v]
+            for w in row:
+                key = (q[w] - qv, tv, v, w)
+                if pivot is None or key < pivot:
+                    pivot = key
+        if pivot is None:
             break
-        _, v, w = best
-        lam, c = out[v][w]
-        lam_inv = inv(lam)
-        # clear every other entry into w (basis change on sources)
-        for a in sorted(inc[w]):
+        dq, _, v, w = pivot
+        lam_inv = inverse(out[v][w])
+        col = [(b, x * lam_inv) for b, x in out[v].items() if b != w]
+        for a, y in inc[w].items():
             if a == v:
                 continue
-            mu, e = inc[w][a]
-            fs = mu * lam_inv if p == 0 else (mu * lam_inv) % p
-            fg = e - c
-            # a := a - f*v kills a->w; updates d(a) and the entries into v
-            for bgen, (s2, g2) in list(out[v].items()):
-                if bgen == w:
-                    continue
-                old_s, old_g = out[a].get(bgen, (reduce_scalar(0), fg + g2))
-                new_s = old_s - fs * s2 if p == 0 else (old_s - fs * s2) % p
-                set_entry(a, bgen, new_s, fg + g2 if new_s else old_g)
-            for u, (s2, g2) in list(inc[a].items()):
-                old_s, old_g = out[u].get(v, (reduce_scalar(0), g2 + fg))
-                new_s = old_s + fs * s2 if p == 0 else (old_s + fs * s2) % p
-                set_entry(u, v, new_s, g2 + fg if new_s else old_g)
-            set_entry(a, w, reduce_scalar(0), 0)
-        # clear every other entry out of v (basis change on targets)
-        for bgen in sorted(out[v]):
-            if bgen == w:
-                continue
-            nu, e = out[v][bgen]
-            fs = nu * lam_inv if p == 0 else (nu * lam_inv) % p
-            fg = e - c
-            # w := w + f*b absorbs v->b; updates d(w)
-            for z, (s2, g2) in list(out[bgen].items()):
-                old_s, old_g = out[w].get(z, (reduce_scalar(0), fg + g2))
-                new_s = old_s + fs * s2 if p == 0 else (old_s + fs * s2) % p
-                set_entry(w, z, new_s, fg + g2 if new_s else old_g)
-            set_entry(v, bgen, reduce_scalar(0), 0)
-        if inc[v] or out[w]:
-            raise AssertionError("graded elimination left a non-split pair")
-        if c > 0:
-            pieces.append((gens[v].tdeg, gens[v].qdeg, c))
+            row = out[a]
+            for b, x in col:
+                z = scalar(row.get(b, 0) - y * x)
+                if z:
+                    row[b] = inc[b][a] = z
+                else:
+                    row.pop(b, None)
+                    inc[b].pop(a, None)
+        if dq:
+            pieces.append((t[v], q[v], dq // 2))
         for gid in (v, w):
-            del out[gid], inc[gid], gens[gid]
+            for b in out.pop(gid):
+                inc[b].pop(gid, None)
+            for a in inc.pop(gid):
+                out[a].pop(gid, None)
 
-    free = sorted(gens.values(), key=lambda g: (g.tdeg, g.qdeg, g.id))
-    if not free and not pieces and complex.total_rank == 0:
-        return FieldComplex(characteristic, [], {}), NormalForm(s=None, pieces=())
-    if len(free) != 1 or free[0].tdeg != 0:
+    free = sorted(out, key=lambda g: (t[g], q[g], g))
+    if complex.total_rank == 0:
+        return GradedComplex([], {}), NormalForm(s=None, pieces=())
+    if len(free) != 1 or t[free[0]] != 0:
         raise NotKnotLikeError(
             f"input not knot-like over characteristic {characteristic}: "
-            f"{len(free)} free summands at degrees {[(g.tdeg, g.qdeg) for g in free]}"
+            f"{len(free)} free summands at degrees {[(t[g], q[g]) for g in free]}"
         )
-    s = free[0].qdeg
-    pieces.sort()
-    nf = NormalForm(s=s, pieces=tuple(pieces))
-
-    one = reduce_scalar(1)
-    new_gens = [Generator("s", 0, s)]
+    nf = NormalForm(s=q[free[0]], pieces=tuple(sorted(pieces)))
+    new_gens = [Generator("s", 0, nf.s)]
     new_entries = {}
-    for i, (a, bq, c) in enumerate(pieces):
-        gs, gt = Generator(f"p{i}a", a, bq), Generator(f"p{i}b", a + 1, bq + 2 * c)
-        new_gens += [gs, gt]
-        new_entries[(gs.id, gt.id)] = (one, c)
-    return FieldComplex(characteristic, new_gens, new_entries), nf
+    for i, (a, bq, c) in enumerate(nf.pieces):
+        new_gens += [Generator(f"p{i}a", a, bq), Generator(f"p{i}b", a + 1, bq + 2 * c)]
+        new_entries[(f"p{i}a", f"p{i}b")] = GElem(1, c)
+    return GradedComplex(new_gens, new_entries), nf

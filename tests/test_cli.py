@@ -150,8 +150,10 @@ def test_deterministic_output(capsys):
             },
         ),
         ("s", {"generators": [{"id": "a", "t": 0, "q": 1}]}),
+        ("s", {"generators": [{"id": "a", "t": 0.0, "q": 0}]}),
+        ("s", {"generators": [{"id": "a", "t": 0, "q": False}]}),
     ],
-    ids=["missing-field", "missing-field-validate", "d-squared", "odd-q"],
+    ids=["missing-field", "missing-field-validate", "d-squared", "odd-q", "float-t", "bool-q"],
 )
 def test_malformed_complex_file_is_exit_one(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"

@@ -16,6 +16,7 @@ from khconc import (
     euler_char,
     field_normal_form,
     graded_rank,
+    rasmussen_s,
     reduce,
     shift,
     split_summands,
@@ -212,6 +213,19 @@ class TestFieldNormalForm:
         with pytest.raises(NotKnotLikeError):
             field_normal_form(c, 0)
 
+    def test_invalid_complex_is_value_error(self):
+        # library callers that skip validate get a ValueError, not an internal assertion
+        chain = [Generator(x, t, 0) for t, x in enumerate("abc")]
+        d_squared = GradedComplex(chain, {("a", "b"): GElem(1), ("b", "c"): GElem(1)})
+        with pytest.raises(ValueError, match="d\\^2"):
+            rasmussen_s(d_squared, 0)
+        wrong_gpow = GradedComplex(
+            [Generator("a", 0, 0), Generator("b", 1, 2), Generator("c", 0, 2)],
+            {("a", "b"): GElem(1, 2)},
+        )
+        with pytest.raises(ValueError, match="G-power"):
+            field_normal_form(wrong_gpow, 0)
+
     def test_rank_accounting_and_parity(self):
         rng = random.Random(17)
         for _ in range(15):
@@ -229,10 +243,12 @@ class TestFieldNormalForm:
             base = random_knotlike(rng)
             scrambled = scramble(base, rng)
             assert validate(scrambled) == []
-            for char in (0, 2, 3):
+            for char in (0, 2, 3, 5):
                 _, nf1 = field_normal_form(base, char)
-                _, nf2 = field_normal_form(scrambled, char)
-                assert nf1 == nf2
+                # reduce cancels in another order, so this checks the elimination too
+                for other in (scrambled, reduce(scrambled)):
+                    _, nf2 = field_normal_form(other, char)
+                    assert nf1 == nf2
 
     def test_matches_brute_force_filtration_homology(self):
         rng = random.Random(23)
