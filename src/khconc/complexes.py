@@ -308,6 +308,13 @@ def validate(complex: GradedComplex) -> list[str]:
     return problems
 
 
+def _require_valid(complex: GradedComplex, layer: str) -> None:
+    """Raise ValueError naming the layer and the first problems validate finds."""
+    problems = validate(complex)
+    if problems:
+        raise ValueError(f"{layer}: invalid complex: " + "; ".join(problems[:3]))
+
+
 def graded_rank(complex: GradedComplex) -> LaurentBiPoly:
     out: dict[tuple[int, int], int] = {}
     for g in complex.generators:

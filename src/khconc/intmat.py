@@ -1,4 +1,4 @@
-"""Exact integer matrix routines: echelon forms, kernels, Smith normal form.
+"""Exact integer matrix routines: echelon forms, kernels, solutions, invariant factors.
 
 Matrices are plain lists of row lists of Python ints, so every computation
 is arbitrary precision.  Pivot choices are fixed (smallest absolute value,
@@ -7,7 +7,7 @@ then lowest index), which makes all outputs deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 
 def identity(n: int) -> list[list[int]]:
@@ -127,136 +127,40 @@ def solve(a: list[list[int]], b: list[int]) -> list[int] | None:
     return matvec(t, y)
 
 
-@dataclass
-class SmithForm:
-    """U * A * V = diag(factors), with U, Uinv, V unimodular."""
+def smith_form(a: list[list[int]]) -> list[int]:
+    """Nonzero Smith invariant factors of A, in divisibility order.
 
-    factors: list[int]
-    u: list[list[int]]
-    uinv: list[list[int]]
-    v: list[list[int]]
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.factors if d != 0)
-
-
-def smith_form(a: list[list[int]]) -> SmithForm:
-    """Smith normal form with tracked row transforms.
-
-    Row operations are mirrored on U and inverted on Uinv, column
-    operations on V, so U*A*V = D and U*Uinv = I hold exactly.
+    Pivot on the entry of least absolute value and clear its row and column
+    until the pivot divides both; no transforms are kept.  The diagonal is
+    then put in divisibility order by replacing pairs (a, b) with
+    (gcd, lcm), which leaves an equivalent matrix.
     """
     m = len(a)
     n = len(a[0]) if a else 0
     d = [row[:] for row in a]
-    u = identity(m)
-    uinv = identity(m)
-    v = identity(n)
-
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for row in uinv:
-            row[i], row[j] = row[j], row[i]
-
-    def row_scale(i, s):
-        d[i] = [s * x for x in d[i]]
-        u[i] = [s * x for x in u[i]]
-        for row in uinv:
-            row[i] *= s
-
-    def row_addmul(dst, src, q):
-        # row dst += q * row src;  Uinv col src -= q * col dst
-        d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-        for row in uinv:
-            row[src] -= q * row[dst]
-
-    def col_swap(i, j):
-        _swap_cols(d, i, j)
-        _swap_cols(v, i, j)
-
-    def col_scale(j, s):
-        _scale_col(d, j, s)
-        _scale_col(v, j, s)
-
-    def col_addmul(dst, src, q):
-        _addmul_col(d, dst, src, q)
-        _addmul_col(v, dst, src, q)
-
     k = 0
-    while True:
+    while k < min(m, n):
         nz = [(i, j) for i in range(k, m) for j in range(k, n) if d[i][j] != 0]
         if not nz:
             break
         i0, j0 = min(nz, key=lambda ij: (abs(d[ij[0]][ij[1]]), ij[0], ij[1]))
-        if i0 != k:
-            row_swap(k, i0)
-        if j0 != k:
-            col_swap(k, j0)
+        d[k], d[i0] = d[i0], d[k]
+        _swap_cols(d, k, j0)
         dirty = False
         for i in range(k + 1, m):
             if d[i][k]:
                 q = d[i][k] // d[k][k]
-                row_addmul(i, k, -q)
-                if d[i][k]:
-                    dirty = True
+                d[i] = [x - q * y for x, y in zip(d[i], d[k])]
+                dirty = dirty or d[i][k] != 0
         for j in range(k + 1, n):
             if d[k][j]:
-                q = d[k][j] // d[k][k]
-                col_addmul(j, k, -q)
-                if d[k][j]:
-                    dirty = True
-        if dirty:
-            continue
-        if d[k][k] < 0:
-            row_scale(k, -1)
-        k += 1
-        if k == m or k == n:
-            break
-
-    # enforce the divisibility chain d1 | d2 | ...
-    changed = True
-    while changed:
-        changed = False
-        for i in range(min(m, n) - 1):
-            di, dj = d[i][i], d[i + 1][i + 1]
-            if di and dj and dj % di != 0:
-                # fold the pair back into a 2x2 block and re-reduce
-                row_addmul(i, i + 1, 1)
-                while True:
-                    entries = [
-                        (abs(d[r][c]), r, c)
-                        for r in (i, i + 1)
-                        for c in (i, i + 1)
-                        if d[r][c] != 0
-                    ]
-                    _, r0, c0 = min(entries)
-                    if r0 != i:
-                        row_swap(i, i + 1)
-                    if c0 != i:
-                        col_swap(i, i + 1)
-                    if d[i + 1][i]:
-                        q = d[i + 1][i] // d[i][i]
-                        row_addmul(i + 1, i, -q)
-                        continue
-                    if d[i][i + 1]:
-                        q = d[i][i + 1] // d[i][i]
-                        col_addmul(i + 1, i, -q)
-                        continue
-                    break
-                if d[i][i] < 0:
-                    row_scale(i, -1)
-                if d[i + 1][i + 1] < 0:
-                    row_scale(i + 1, -1)
-                changed = True
-
-    # pivots were taken while any nonzero entry remained, so zeros come last
-    factors = [d[i][i] for i in range(min(m, n))]
-    return SmithForm(factors=factors, u=u, uinv=uinv, v=v)
-
-
-def invariant_factors(a: list[list[int]]) -> list[int]:
-    """Nonzero Smith invariant factors of A, in divisibility order."""
-    return [f for f in smith_form(a).factors if f != 0]
+                _addmul_col(d, j, k, -(d[k][j] // d[k][k]))
+                dirty = dirty or d[k][j] != 0
+        if not dirty:
+            k += 1
+    factors = [abs(d[i][i]) for i in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            g = math.gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] * factors[j] // g
+    return factors

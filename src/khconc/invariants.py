@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import intmat
-from .complexes import GradedComplex
+from .complexes import GradedComplex, _require_valid
 from .simplify import NotKnotLikeError, field_normal_form
 
 
@@ -42,7 +42,7 @@ def integer_homology_profile(complex: GradedComplex) -> dict[int, tuple[int, lis
     rank, kernel, torsion = {}, {}, {}
     for t in range(lo - 1, hi + 1):
         mat, srcs, _ = g1_matrix(complex, t)
-        facs = intmat.invariant_factors(mat) if mat and srcs else []
+        facs = intmat.smith_form(mat)
         rank[t] = len(facs)
         kernel[t] = len(srcs) - len(facs)
         torsion[t] = [f for f in facs if f > 1]
@@ -107,79 +107,53 @@ def tuple_from_filtration(m_by_k: dict[int, int]) -> SZTuple:
     return SZTuple(k0=k0, ks=tuple(ks))
 
 
-def _h0_class_data(complex: GradedComplex):
-    """Kernel basis at t=0, and the class functional of H_0(C at G=1).
+def _h0_class_data(complex: GradedComplex) -> tuple[list[str], list[int], list[int]]:
+    """The t = 0 ids, a class covector phi and a generator cycle z of H_0(C at G=1).
 
-    Returns (t0 ids, kernel basis columns, project) where project maps an
-    integer cycle vector to its coefficient on a fixed generator of H_0.
+    The complex must pass validate and be knot-like, so H_0 is Z; otherwise
+    this raises ValueError or NotKnotLikeError.  With the rows of K a basis
+    of the cycles, boundaries have coordinates in that basis, and the one
+    covector psi on those coordinates that kills them all is the class map
+    Z^k -> H_0 = Z.  Since the cycles are a saturated lattice, phi with
+    K phi = psi is integral: phi kills every boundary and phi . v is the
+    class of any cycle v.  z = x K for an x with psi . x = 1, so phi . z = 1.
     """
+    _require_valid(complex, "H_0 class data")
+    if not knotlike_check(complex):
+        raise NotKnotLikeError(
+            f"H_0 class data: complex of rank {complex.total_rank} is not knot-like "
+            "(H(C at G=1) is not Z in degree 0 alone)"
+        )
     d0, srcs, _ = g1_matrix(complex, 0)
     dm1, _, _ = g1_matrix(complex, -1)
-    if d0:
-        kernel = intmat.kernel_basis(d0)
-    else:
-        kernel = intmat.kernel_basis([], ncols=len(srcs))
-    k = len(kernel)
-    kmat = [[kernel[j][i] for j in range(k)] for i in range(len(srcs))]
-    boundaries = intmat.transpose(dm1) if dm1 else []
+    kernel = intmat.kernel_basis(d0, ncols=len(srcs))
+    kmat = intmat.transpose(kernel)
     coords = []
-    for bvec in boundaries:
-        sol = intmat.solve(kmat, bvec) if k else ([] if not any(bvec) else None)
+    for bvec in intmat.transpose(dm1):
+        sol = intmat.solve(kmat, bvec)
         if sol is None:
-            raise AssertionError("boundary vector outside the kernel lattice")
+            raise ValueError("H_0 class data: a boundary is not a cycle (d^2 != 0 at G=1)")
         coords.append(sol)
-    m = [[coords[j][i] for j in range(len(coords))] for i in range(k)]
-    if coords:
-        sf = intmat.smith_form(m)
-        rank = sf.rank
-        factors = [f for f in sf.factors if f]
-        u = sf.u
-        uinv = sf.uinv
-    else:
-        rank = 0
-        factors = []
-        u = intmat.identity(k)
-        uinv = intmat.identity(k)
-    if k - rank != 1 or any(f != 1 for f in factors):
-        raise NotKnotLikeError(
-            f"H_0(C at G=1) is not infinite cyclic (kernel rank {k}, boundary rank {rank}, "
-            f"torsion {[f for f in factors if f != 1]})"
-        )
-
-    def project(vec: list[int]) -> int:
-        xi = intmat.solve(kmat, vec)
-        if xi is None:
-            raise ValueError("vector is not a cycle")
-        return sum(u[rank][j] * xi[j] for j in range(k))
-
-    generator = [sum(kmat[i][j] * uinv[j][rank] for j in range(k)) for i in range(len(srcs))]
-    return srcs, kmat, project, generator
+    (psi,) = intmat.kernel_basis(coords, ncols=len(kernel))
+    x = intmat.solve([psi], [1])
+    z = intmat.matvec(kmat, x)
+    phi = intmat.solve(kernel, psi)
+    return srcs, phi, z
 
 
 def schuetz_sz(complex: GradedComplex) -> SZTuple:
-    """The filtration tuple of H_0(C at G=1) by quantum-degree support."""
-    if not knotlike_check(complex):
-        raise NotKnotLikeError("filtration tuple requires a knot-like complex")
-    srcs, _, project, _ = _h0_class_data(complex)
+    """The filtration tuple of H_0(C at G=1) by quantum-degree support.
+
+    m_k is the gcd of phi over a kernel basis of d0 restricted to the
+    generators of quantum degree >= k.
+    """
+    srcs, phi, _ = _h0_class_data(complex)
     qdegs = [complex.gen(gid).qdeg for gid in srcs]
     d0, _, _ = g1_matrix(complex, 0)
-    qmax, qmin = max(qdegs), min(qdegs)
     m_by_k: dict[int, int] = {}
-    for k in range(qmax, qmin - 2, -2):
+    for k in range(max(qdegs), min(qdegs) - 2, -2):
         keep = [j for j, q in enumerate(qdegs) if q >= k]
-        if not keep:
-            m_by_k[k] = 0
-            continue
-        if d0:
-            sub = [[row[j] for j in keep] for row in d0]
-            kern = intmat.kernel_basis(sub)
-        else:
-            kern = intmat.kernel_basis([], ncols=len(keep))
-        image = 0
-        for vec in kern:
-            full = [0] * len(srcs)
-            for idx, j in enumerate(keep):
-                full[j] = vec[idx]
-            image = math.gcd(image, project(full))
-        m_by_k[k] = image
+        sub = [[row[j] for j in keep] for row in d0]
+        kern = intmat.kernel_basis(sub, ncols=len(keep))
+        m_by_k[k] = math.gcd(*(sum(phi[j] * u for j, u in zip(keep, vec)) for vec in kern))
     return tuple_from_filtration(m_by_k)

@@ -22,7 +22,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import ComplexBuilder, GElem, Generator, GradedComplex, validate
+from .complexes import ComplexBuilder, GElem, Generator, GradedComplex, _require_valid
 
 
 class NotKnotLikeError(ValueError):
@@ -280,9 +280,7 @@ def field_normal_form(
     "p<i>a" -> "p<i>b" of value G^c) together with its NormalForm data.
     """
     check_characteristic(characteristic)
-    problems = validate(complex)
-    if problems:
-        raise ValueError("field_normal_form: invalid complex: " + "; ".join(problems[:3]))
+    _require_valid(complex, "field_normal_form")
     p = characteristic
     if p == 0:
         scalar, inverse = Fraction, (lambda x: 1 / x)

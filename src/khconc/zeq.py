@@ -18,15 +18,13 @@ from dataclasses import dataclass
 
 from . import intmat
 from .complexes import GElem, GradedComplex, tensor, dual
-from .invariants import NotKnotLikeError, _h0_class_data, knotlike_check
+from .invariants import _h0_class_data
 
 
 def generator_cycle(complex: GradedComplex) -> dict[str, int]:
     """An integer cycle at G = 1 whose class generates H_0; deterministic."""
-    if not knotlike_check(complex):
-        raise NotKnotLikeError("generator cycle requires a knot-like complex")
-    srcs, _, _, generator = _h0_class_data(complex)
-    return {gid: coeff for gid, coeff in zip(srcs, generator) if coeff}
+    srcs, _, z = _h0_class_data(complex)
+    return {gid: coeff for gid, coeff in zip(srcs, z) if coeff}
 
 
 @dataclass
@@ -35,8 +33,9 @@ class ChainMapLattice:
 
     pairs[i] is the (source id, target id) generator pair of unknown i; basis
     holds integer kernel vectors of the chain-map equations; lam[j] is the
-    induced multiplier on H_0(. at G=1) of basis vector j, and image_gcd
-    generates the subgroup {lambda(f)} of Z.
+    induced multiplier on H_0(. at G=1) of basis vector j, the target's class
+    covector applied to the image of the source's generator cycle, and
+    image_gcd generates the subgroup {lambda(f)} of Z.
     """
 
     qdegree: int
@@ -78,6 +77,8 @@ def chain_map_lattice(
     source: GradedComplex, target: GradedComplex, qdegree: int
 ) -> ChainMapLattice:
     """Solve f d = d f exactly over Z and compute the H_0 functional."""
+    ssrcs, _, cycle = _h0_class_data(source)
+    tsrcs, phi, _ = _h0_class_data(target)
     triples = admissible_pairs(source, target, qdegree)
     pairs = [(x, y) for x, y, _ in triples]
     index = {pair: i for i, pair in enumerate(pairs)}
@@ -109,31 +110,18 @@ def chain_map_lattice(
                 rows.append(row)
     basis = intmat.kernel_basis(rows, ncols=n) if n else []
 
-    alpha = generator_cycle(source)
-    tsrcs, _, project, _ = _h0_class_data(target)
-    tpos = {gid: i for i, gid in enumerate(tsrcs)}
-    lam = []
-    for vec in basis:
-        image = [0] * len(tsrcs)
-        for i, u in enumerate(vec):
-            if not u:
-                continue
-            x, y = pairs[i]
-            ax = alpha.get(x)
-            if ax and y in tpos:
-                image[tpos[y]] += ax * u
-        lam.append(project(image))
-    g = 0
-    for value in lam:
-        g = math.gcd(g, value)
-    return ChainMapLattice(qdegree=qdegree, pairs=pairs, basis=basis, lam=lam, image_gcd=g)
+    # lambda(f) = phi . f(z), linear in the unknowns with weight z[x] * phi[y]
+    alpha = dict(zip(ssrcs, cycle))
+    beta = dict(zip(tsrcs, phi))
+    weight = [alpha.get(x, 0) * beta.get(y, 0) for x, y in pairs]
+    lam = [sum(u * w for u, w in zip(vec, weight)) for vec in basis]
+    return ChainMapLattice(
+        qdegree=qdegree, pairs=pairs, basis=basis, lam=lam, image_gcd=math.gcd(*lam)
+    )
 
 
 def z_iso_exists(source: GradedComplex, target: GradedComplex, qdegree: int) -> bool:
     """Is there a chain map of this quantum degree inducing +-1 on H_0(. at G=1)?"""
-    for c in (source, target):
-        if not knotlike_check(c):
-            raise NotKnotLikeError("Z-isomorphism existence requires knot-like complexes")
     return chain_map_lattice(source, target, qdegree).image_gcd == 1
 
 
@@ -155,9 +143,6 @@ def distance_d(c1: GradedComplex, c2: GradedComplex, bound: int | None = None) -
     0 finds the minimum.  The metric is only proven finite for complexes of
     knots, hence the explicit bound; None reports that the bound was hit.
     """
-    for c in (c1, c2):
-        if not knotlike_check(c):
-            raise NotKnotLikeError("distance requires knot-like complexes")
     if bound is None:
         bound = default_distance_bound(c1, c2)
     if bound < 0:

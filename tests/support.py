@@ -9,7 +9,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from khconc import GElem, Generator, GradedComplex, direct_sum, unit_complex
+from khconc import GElem, Generator, GradedComplex, direct_sum, generator_cycle, unit_complex
 from khconc import intmat
 from khconc.invariants import g1_matrix, tuple_from_filtration
 
@@ -18,6 +18,14 @@ def acyclic_square(q=0, t=0, tag="sq", scal=1):
     return GradedComplex(
         [Generator(f"{tag}.a", t, q), Generator(f"{tag}.b", t + 1, q)],
         {(f"{tag}.a", f"{tag}.b"): GElem(scal, 0)},
+    )
+
+
+def torsion_h0():
+    """Not knot-like: H_0 at G = 1 is Z + Z/2."""
+    return direct_sum(
+        unit_complex(),
+        GradedComplex([Generator("a", -1, 0), Generator("b", 0, 0)], {("a", "b"): GElem(2, 0)}),
     )
 
 
@@ -152,29 +160,27 @@ def g1_field_homology_dims(c, char):
 def bruteforce_sz(c, coeff_bound=3):
     """Filtration tuple by enumerating integer cycles with small coefficients.
 
-    Returns None when the enumeration is inconclusive, i.e. the cycles within
-    the coefficient bound fail to generate the bottom filtration level.
+    A cycle's class is its last coordinate in one solve against the columns
+    of d_-1 followed by the generator cycle, which span the cycles when H_0
+    is Z.  Returns None when the enumeration is inconclusive, i.e. the cycles
+    within the coefficient bound fail to generate the bottom filtration level.
     """
     d0, srcs, _ = g1_matrix(c, 0)
     dm1, _, _ = g1_matrix(c, -1)
     qdegs = [c.gen(g).qdeg for g in srcs]
     n = len(srcs)
+    z = generator_cycle(c)
+    # rows of d_-1 are the t = 0 generators, in the order of srcs
+    spanning = [row + [z.get(gid, 0)] for row, gid in zip(dm1, srcs)]
 
     def is_cycle(vec):
         return all(sum(row[j] * vec[j] for j in range(n)) == 0 for row in d0)
 
-    boundaries = intmat.transpose(dm1) if dm1 else []
-    kern = intmat.kernel_basis(d0, ncols=n) if d0 else intmat.kernel_basis([], ncols=n)
-    kmat = [[kern[j][i] for j in range(len(kern))] for i in range(n)]
-    coords = [intmat.solve(kmat, bv) for bv in boundaries]
-    m = [[coords[j][i] for j in range(len(coords))] for i in range(len(kern))]
-    sf = intmat.smith_form(m) if coords else None
-    rank = sf.rank if sf else 0
-    u = sf.u if sf else intmat.identity(len(kern))
-
-    def project(vec):
-        xi = intmat.solve(kmat, vec)
-        return sum(u[rank][j] * xi[j] for j in range(len(kern)))
+    def cycle_class(vec):
+        sol = intmat.solve(spanning, vec)
+        if sol is None:
+            raise AssertionError(f"cycle {vec} is not a boundary plus a multiple of {z}")
+        return sol[-1]
 
     qmax, qmin = max(qdegs), min(qdegs)
     m_by_k = {}
@@ -188,7 +194,7 @@ def bruteforce_sz(c, coeff_bound=3):
             for idx, j in enumerate(support):
                 vec[j] = combo[idx]
             if is_cycle(vec):
-                g = math.gcd(g, project(vec))
+                g = math.gcd(g, cycle_class(vec))
         m_by_k[k] = g
     if m_by_k.get(qmin) != 1:
         return None

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from khconc import build_ck, to_json, unit_complex, shift
 from khconc.cli import main
 
+import support
+
 
 RIGHT_TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 
@@ -85,6 +87,19 @@ def test_dist_output(tmp_path, capsys):
     code, out, _ = run(capsys, "dist", str(a), str(b), "--bound", "1")
     assert code == 0
     assert out.strip() == "d > 1"
+
+
+def test_zeq_dist_reject_torsion_in_h0(tmp_path, capsys):
+    bad = tmp_path / "torsion.json"
+    good = tmp_path / "unknot.json"
+    bad.write_text(to_json(support.torsion_h0()))
+    good.write_text(to_json(unit_complex()))
+    for command in ("zeq", "dist"):
+        for a, b in ((bad, good), (good, bad)):
+            code, _, err = run(capsys, command, str(a), str(b))
+            assert code == 1
+            assert "error:" in err and "knot-like" in err
+            assert "Traceback" not in err
 
 
 def test_validate_command(tmp_path, capsys):

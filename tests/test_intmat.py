@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -69,27 +71,37 @@ def test_solve_detects_unsolvable():
     assert intmat.solve([[1, 1]], [3]) is not None
 
 
+def det(a):
+    """Determinant by Laplace expansion along the first row."""
+    if not a:
+        return 1
+    return sum(
+        (-1) ** j * a[0][j] * det([row[:j] + row[j + 1:] for row in a[1:]])
+        for j in range(len(a))
+    )
+
+
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_smith_form_relations(a):
-    s = intmat.smith_form(a)
+    # d_1 ... d_k is the gcd of the k x k minors, which vanish beyond the rank
+    chain = intmat.smith_form(a)
     m, n = len(a), len(a[0])
-    d = intmat.matmul(intmat.matmul(s.u, a), s.v)
-    for i in range(m):
-        for j in range(n):
-            expect = s.factors[i] if i == j and i < len(s.factors) else 0
-            assert d[i][j] == expect
-    ident = intmat.matmul(s.u, s.uinv)
-    assert ident == intmat.identity(m)
-    chain = [f for f in s.factors if f]
-    assert s.factors[len(chain):] == [0] * (len(s.factors) - len(chain))
     assert all(f > 0 for f in chain)
     for x, y in zip(chain, chain[1:]):
         assert y % x == 0
+    for k in range(1, min(m, n) + 1):
+        minors = [
+            det([[a[i][j] for j in cols] for i in rows])
+            for rows in itertools.combinations(range(m), k)
+            for cols in itertools.combinations(range(n), k)
+        ]
+        expect = math.prod(chain[:k]) if k <= len(chain) else 0
+        assert math.gcd(*minors) == expect, k
 
 
 def test_invariant_factors_example():
     a = [[2, 0], [0, 4]]
-    assert intmat.invariant_factors(a) == [2, 4]
+    assert intmat.smith_form(a) == [2, 4]
     b = [[2, 0], [0, 3]]
-    assert intmat.invariant_factors(b) == [1, 6]
+    assert intmat.smith_form(b) == [1, 6]

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -12,16 +11,18 @@ from khconc import (
     build_staircase,
     direct_sum,
     dual,
+    generator_cycle,
     knotlike_check,
     rasmussen_s,
     schuetz_sz,
     shift,
     tensor,
     unit_complex,
+    z_iso_exists,
 )
 from khconc.invariants import tuple_from_filtration
-from khconc import intmat
-from khconc.invariants import g1_matrix
+
+import support
 
 
 class TestKnotlike:
@@ -156,6 +157,23 @@ class TestSchuetzSz:
         with pytest.raises(NotKnotLikeError):
             schuetz_sz(GradedComplex([Generator("a", 1, 0)], {}))
 
+    def test_invalid_complex_is_value_error(self):
+        # d^2 != 0 through a -> b -> c, yet the G = 1 ranks look knot-like
+        c = GradedComplex(
+            [Generator("a", -1, 0), Generator("b", 0, 0), Generator("x", 0, 0),
+             Generator("y", 0, 0), Generator("c", 1, 0)],
+            {("a", "b"): GElem(1, 0), ("b", "c"): GElem(1, 0)},
+        )
+        calls = [
+            schuetz_sz,
+            generator_cycle,
+            lambda c: z_iso_exists(c, unit_complex(), 0),
+            lambda c: z_iso_exists(unit_complex(), c, 0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="invalid complex: d\\^2 != 0"):
+                call(c)
+
     def test_matches_bruteforce_oracle(self):
         rng = random.Random(43)
         cases = [
@@ -166,7 +184,8 @@ class TestSchuetzSz:
         ]
         for c in cases:
             assert c.total_rank <= 9
-            expected = bruteforce_sz(c)
+            expected = support.bruteforce_sz(c)
+            assert expected is not None
             assert schuetz_sz(c).as_tuple() == expected
 
     def test_divisibility_of_indices(self):
@@ -174,48 +193,3 @@ class TestSchuetzSz:
             t = schuetz_sz(c)
             assert all(k >= 1 for k in t.ks)
 
-
-def bruteforce_sz(c, coeff_bound=3):
-    """Filtration subgroups by enumerating small integer cycles directly."""
-    d0, srcs, _ = g1_matrix(c, 0)
-    dm1, _, _ = g1_matrix(c, -1)
-    qdegs = [c.gen(g).qdeg for g in srcs]
-    n = len(srcs)
-
-    def is_cycle(vec):
-        return all(
-            sum(row[j] * vec[j] for j in range(n)) == 0 for row in d0
-        )
-
-    boundaries = intmat.transpose(dm1) if dm1 else []
-
-    # quotient projection built from scratch: solve for a functional that
-    # kills boundaries and is surjective on cycles
-    kern = intmat.kernel_basis(d0, ncols=n) if d0 else intmat.kernel_basis([], ncols=n)
-    kmat = [[kern[j][i] for j in range(len(kern))] for i in range(n)]
-    coords = [intmat.solve(kmat, bv) for bv in boundaries]
-    m = [[coords[j][i] for j in range(len(coords))] for i in range(len(kern))]
-    sf = intmat.smith_form(m) if coords else None
-    rank = sf.rank if sf else 0
-    u = sf.u if sf else intmat.identity(len(kern))
-
-    def project(vec):
-        xi = intmat.solve(kmat, vec)
-        return sum(u[rank][j] * xi[j] for j in range(len(kern)))
-
-    import math
-
-    qmax, qmin = max(qdegs), min(qdegs)
-    m_by_k = {}
-    for k in range(qmax, qmin - 2, -2):
-        support = [j for j, q in enumerate(qdegs) if q >= k]
-        g = 0
-        for combo in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=len(support)):
-            vec = [0] * n
-            for idx, j in enumerate(support):
-                vec[j] = combo[idx]
-            if is_cycle(vec):
-                g = math.gcd(g, project(vec))
-        m_by_k[k] = g
-    t = tuple_from_filtration(m_by_k)
-    return t.as_tuple()

@@ -26,6 +26,8 @@ from khconc import (
     validate,
     z_equivalent,
 )
+from khconc import intmat
+from khconc.invariants import _h0_class_data, g1_matrix
 
 import support
 
@@ -197,3 +199,17 @@ class TestLatticeMonotonicity:
                 assert g2 == 0 or g2 % 1 == 0  # defined; divisibility below
                 if g2:
                     assert g0 % g2 == 0
+
+
+class TestH0ClassData:
+    def test_covector_kills_boundaries_and_takes_one_on_cycle(self):
+        rng = random.Random(61)
+        base = [support.scramble(support.random_knotlike(rng), rng) for _ in range(100)]
+        big = sorted(base, key=lambda c: c.total_rank)[-2:]
+        for c in [*base, *map(dual, base), tensor(*big)]:
+            _, phi, z = _h0_class_data(c)
+            d0, _, _ = g1_matrix(c, 0)
+            dm1, _, _ = g1_matrix(c, -1)
+            assert not any(intmat.matvec(d0, z))
+            assert all(intmat.matvec([phi], col) == [0] for col in intmat.transpose(dm1))
+            assert intmat.matvec([phi], z) == [1]

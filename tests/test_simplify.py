@@ -43,8 +43,8 @@ def g1_homology_dims(c):
     for t in range(lo, hi + 1):
         mat, srcs, _ = g1_matrix(c, t)
         prev, psrcs, _ = g1_matrix(c, t - 1)
-        rank = len(intmat.invariant_factors(mat)) if mat and srcs else 0
-        prev_facs = intmat.invariant_factors(prev) if prev and psrcs else []
+        rank = len(intmat.smith_form(mat)) if mat and srcs else 0
+        prev_facs = intmat.smith_form(prev) if prev and psrcs else []
         dims[t] = (
             len(srcs) - rank - len(prev_facs),
             [f for f in prev_facs if f > 1],

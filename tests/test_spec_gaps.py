@@ -101,27 +101,17 @@ def test_normal_form_trivial_iff_z_equivalent():
 def test_filtration_indices_nest():
     # m_(k-2) divides m_k wherever both are nonzero
     for c in [dual(build_staircase((2, 4, 8))), dual(build_staircase((3, 9)))]:
-        srcs, _, project, _ = _h0_class_data(c)
+        srcs, phi, _ = _h0_class_data(c)
         qdegs = [c.gen(g).qdeg for g in srcs]
         d0, _, _ = g1_matrix(c, 0)
         ms = {}
         for k in range(max(qdegs), min(qdegs) - 2, -2):
             keep = [j for j, q in enumerate(qdegs) if q >= k]
-            if not keep:
-                ms[k] = 0
-                continue
-            sub = [[row[j] for j in keep] for row in d0] if d0 else []
-            kern = (
-                intmat.kernel_basis(sub)
-                if sub
-                else intmat.kernel_basis([], ncols=len(keep))
-            )
+            sub = [[row[j] for j in keep] for row in d0]
+            kern = intmat.kernel_basis(sub, ncols=len(keep))
             image = 0
             for vec in kern:
-                full = [0] * len(srcs)
-                for idx, j in enumerate(keep):
-                    full[j] = vec[idx]
-                image = math.gcd(image, project(full))
+                image = math.gcd(image, sum(phi[j] * u for j, u in zip(keep, vec)))
             ms[k] = image
         for k in ms:
             if ms[k] and ms.get(k - 2):

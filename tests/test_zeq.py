@@ -25,6 +25,8 @@ from khconc import (
 )
 from khconc.zeq import zeta
 
+import support
+
 
 def acyclic_square(q=0, t=0, tag="sq"):
     return GradedComplex(
@@ -88,6 +90,20 @@ class TestChainMapLattice:
             coeffs = [1 if i == j else 0 for i in range(len(lat.basis))]
             fmap = lat.map_from_coeffs(coeffs)
             assert_chain_map(src, tgt, 0, fmap)
+
+
+@pytest.mark.parametrize("bad", [acyclic_square(), support.torsion_h0()], ids=["acyclic", "torsion"])
+def test_lattice_layer_rejects_non_knotlike(bad):
+    good = build_staircase((2,))
+    calls = [
+        lambda a, b: chain_map_lattice(a, b, 0),
+        lambda a, b: z_iso_exists(a, b, 0),
+        distance_d,
+    ]
+    for a, b in ((bad, good), (good, bad)):
+        for call in calls:
+            with pytest.raises(NotKnotLikeError):
+                call(a, b)
 
 
 def assert_chain_map(src, tgt, qdeg, fmap):
