@@ -25,6 +25,13 @@ class InputError(ValueError):
 
 
 def _load_complex(token: str, cap: int | None, basepoint: int | None) -> complexes.GradedComplex:
+    """The reduced complex of a PD/BR code or of a complex JSON file.
+
+    A file is validated first and reduced only once validate accepts it,
+    since cancelling can turn an invalid complex into a valid one.  The
+    invariants reduce their input again, which is cheap on a reduced
+    complex; the chain-map lattice behind zeq works on the complex as given.
+    """
     stripped = token.strip()
     upper = stripped.upper()
     if upper.startswith("PD"):
@@ -39,7 +46,7 @@ def _load_complex(token: str, cap: int | None, basepoint: int | None) -> complex
         problems = complexes.validate(c)
         if problems:
             raise InputError(f"{stripped} is not a valid complex: " + "; ".join(problems))
-        return c
+        return simplify.reduce(c)
     raise InputError(f"cannot interpret input {token!r}: not PD/BR notation or a readable file")
 
 

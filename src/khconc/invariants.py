@@ -8,6 +8,15 @@ form over F[G].  The tuple invariant reads off the filtration of
 H_0(C at G=1) by classes of cycles supported in quantum degree >= k; we
 take "supported in degree >= k" as the meaning of the filtration level k,
 and the tuple entries are the successive subgroup indices.
+
+Cancelling a unit entry is a homotopy equivalence over Z[G], so the
+invariant entry points (rasmussen_s, schuetz_sz, and z_iso_exists and
+distance_d in zeq) validate their input, then reduce it, and work on the
+reduced complex.  Validation comes first because cancelling can turn an
+invalid complex into a valid one.  The routines whose output names the
+input's generators or describes it as given (the field normal form, the
+homology profile, knot-likeness, the H_0 class data and zeq's chain-map
+lattice) work on the complex as given.
 """
 
 from __future__ import annotations
@@ -17,7 +26,13 @@ from dataclasses import dataclass
 
 from . import intmat
 from .complexes import GradedComplex, _require_valid
-from .simplify import NotKnotLikeError, field_normal_form
+from .simplify import NotKnotLikeError, field_normal_form, reduce
+
+
+def _reduced(complex: GradedComplex, layer: str) -> GradedComplex:
+    """The input validated, then with every unit entry cancelled."""
+    _require_valid(complex, layer)
+    return reduce(complex)
 
 
 def g1_matrix(complex: GradedComplex, tdeg: int) -> tuple[list[list[int]], list[str], list[str]]:
@@ -50,7 +65,11 @@ def integer_homology_profile(complex: GradedComplex) -> dict[int, tuple[int, lis
 
 
 def knotlike_check(complex: GradedComplex) -> bool:
-    """Axiomatic knot-likeness: H(C at G=1) is Z in degree 0 and 0 elsewhere."""
+    """Axiomatic knot-likeness: H(C at G=1) is Z in degree 0 and 0 elsewhere.
+
+    Raises ValueError on a complex that fails validate.
+    """
+    _require_valid(complex, "knot-likeness")
     profile = integer_homology_profile(complex)
     for t, (free, torsion) in profile.items():
         if torsion:
@@ -62,7 +81,7 @@ def knotlike_check(complex: GradedComplex) -> bool:
 
 def rasmussen_s(complex: GradedComplex, characteristic: int) -> int:
     """Quantum degree of the rank-one summand of C (x) F[G], char F given."""
-    _, nf = field_normal_form(complex, characteristic)
+    _, nf = field_normal_form(_reduced(complex, "rasmussen_s"), characteristic)
     if nf.s is None:
         raise NotKnotLikeError("empty complex has no distinguished summand")
     return nf.s
@@ -118,7 +137,6 @@ def _h0_class_data(complex: GradedComplex) -> tuple[list[str], list[int], list[i
     K phi = psi is integral: phi kills every boundary and phi . v is the
     class of any cycle v.  z = x K for an x with psi . x = 1, so phi . z = 1.
     """
-    _require_valid(complex, "H_0 class data")
     if not knotlike_check(complex):
         raise NotKnotLikeError(
             f"H_0 class data: complex of rank {complex.total_rank} is not knot-like "
@@ -147,6 +165,7 @@ def schuetz_sz(complex: GradedComplex) -> SZTuple:
     m_k is the gcd of phi over a kernel basis of d0 restricted to the
     generators of quantum degree >= k.
     """
+    complex = _reduced(complex, "schuetz_sz")
     srcs, phi, _ = _h0_class_data(complex)
     qdegs = [complex.gen(gid).qdeg for gid in srcs]
     d0, _, _ = g1_matrix(complex, 0)

@@ -18,7 +18,10 @@ from dataclasses import dataclass
 
 from . import intmat
 from .complexes import GElem, GradedComplex, tensor, dual
-from .invariants import _h0_class_data
+from .invariants import _h0_class_data, _reduced
+
+# (t = 0 ids, class covector, generator cycle), as _h0_class_data returns it
+_H0Data = tuple[list[str], list[int], list[int]]
 
 
 def generator_cycle(complex: GradedComplex) -> dict[str, int]:
@@ -77,8 +80,15 @@ def chain_map_lattice(
     source: GradedComplex, target: GradedComplex, qdegree: int
 ) -> ChainMapLattice:
     """Solve f d = d f exactly over Z and compute the H_0 functional."""
-    ssrcs, _, cycle = _h0_class_data(source)
-    tsrcs, phi, _ = _h0_class_data(target)
+    return _lattice(source, target, qdegree, _h0_class_data(source), _h0_class_data(target))
+
+
+def _lattice(
+    source: GradedComplex, target: GradedComplex, qdegree: int, src_h0: _H0Data, tgt_h0: _H0Data
+) -> ChainMapLattice:
+    """chain_map_lattice given both complexes' _h0_class_data."""
+    ssrcs, _, cycle = src_h0
+    tsrcs, phi, _ = tgt_h0
     triples = admissible_pairs(source, target, qdegree)
     pairs = [(x, y) for x, y, _ in triples]
     index = {pair: i for i, pair in enumerate(pairs)}
@@ -121,7 +131,11 @@ def chain_map_lattice(
 
 
 def z_iso_exists(source: GradedComplex, target: GradedComplex, qdegree: int) -> bool:
-    """Is there a chain map of this quantum degree inducing +-1 on H_0(. at G=1)?"""
+    """Is there a chain map of this quantum degree inducing +-1 on H_0(. at G=1)?
+
+    Both complexes are validated, then reduced.
+    """
+    source, target = _reduced(source, "z_iso_exists"), _reduced(target, "z_iso_exists")
     return chain_map_lattice(source, target, qdegree).image_gcd == 1
 
 
@@ -142,15 +156,22 @@ def distance_d(c1: GradedComplex, c2: GradedComplex, bound: int | None = None) -
     Success is monotone in n (multiply a witness by G), so scanning up from
     0 finds the minimum.  The metric is only proven finite for complexes of
     knots, hence the explicit bound; None reports that the bound was hit.
+
+    The default bound is taken from the complexes as given.  Both are then
+    validated and reduced, and the H_0 class data of each is computed once
+    and reused at every degree.  chain_map_lattice, by contrast, works on
+    the complexes as given.
     """
     if bound is None:
         bound = default_distance_bound(c1, c2)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    c1, c2 = _reduced(c1, "distance_d"), _reduced(c2, "distance_d")
+    h1, h2 = _h0_class_data(c1), _h0_class_data(c2)
     for n in range(bound + 1):
         if (
-            chain_map_lattice(c1, c2, -2 * n).image_gcd == 1
-            and chain_map_lattice(c2, c1, -2 * n).image_gcd == 1
+            _lattice(c1, c2, -2 * n, h1, h2).image_gcd == 1
+            and _lattice(c2, c1, -2 * n, h2, h1).image_gcd == 1
         ):
             return n
     return None

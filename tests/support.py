@@ -29,6 +29,13 @@ def torsion_h0():
     )
 
 
+def invalid_reducing_to_unit():
+    """d^2 != 0 along a -> b -> c -> e, yet reduce leaves the valid unit {u}."""
+    ids = [("a", -1), ("b", 0), ("c", 1), ("e", 2)]
+    gens = [Generator(gid, t, 0) for gid, t in ids] + [Generator("u", 0, 0)]
+    return GradedComplex(gens, {(x, y): GElem(1, 0) for (x, _), (y, _) in zip(ids, ids[1:])})
+
+
 def random_knotlike(rng, max_pieces=2):
     """A knot-like complex assembled from a unit summand plus pieces."""
     parts = [unit_complex(qdeg=2 * rng.randint(-1, 1), gid="core")]

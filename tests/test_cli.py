@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from khconc import build_ck, to_json, unit_complex, shift
+from khconc import build_ck, build_complex, parse_braid, to_json, unit_complex, shift
 from khconc.cli import main
 
 import support
@@ -100,6 +100,30 @@ def test_zeq_dist_reject_torsion_in_h0(tmp_path, capsys):
             assert code == 1
             assert "error:" in err and "knot-like" in err
             assert "Traceback" not in err
+
+
+def test_invalid_file_rejected_before_reduction(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    good = tmp_path / "unknot.json"
+    bad.write_text(to_json(support.invalid_reducing_to_unit()))
+    good.write_text(to_json(unit_complex()))
+    for argv in (("s", bad), ("sz", bad), ("zeq", bad, good), ("zeq", good, bad), ("dist", bad, good)):
+        code, _, err = run(capsys, *map(str, argv))
+        assert code == 1
+        assert "error:" in err and "d^2 != 0" in err
+        assert "Traceback" not in err
+
+
+def test_unreduced_cube_file_matches_diagram(tmp_path, capsys):
+    braid = "BR[2; 1,1,1,1,1,1,1]"
+    cube = tmp_path / "t27.json"
+    cube.write_text(to_json(build_complex(parse_braid(braid))))
+    commands = [("s", "--char", "0,2,3"), ("sz",), ("zeq", RIGHT_TREFOIL), ("dist", RIGHT_TREFOIL)]
+    for command, *rest in commands:
+        from_file = run(capsys, command, str(cube), *rest)
+        from_diagram = run(capsys, command, braid, *rest)
+        assert from_file == from_diagram
+        assert from_file[0] == 0 and from_file[1]
 
 
 def test_validate_command(tmp_path, capsys):

@@ -10,6 +10,7 @@ from khconc import (
     build_ck,
     build_staircase,
     direct_sum,
+    distance_d,
     dual,
     generator_cycle,
     knotlike_check,
@@ -172,6 +173,22 @@ class TestSchuetzSz:
         ]
         for call in calls:
             with pytest.raises(ValueError, match="invalid complex: d\\^2 != 0"):
+                call(c)
+        with pytest.raises(ValueError, match="knot-likeness: invalid complex: d\\^2 != 0"):
+            knotlike_check(c)
+
+    def test_validation_precedes_reduction(self):
+        c = support.invalid_reducing_to_unit()
+        calls = [
+            ("rasmussen_s", lambda c: rasmussen_s(c, 0)),
+            ("schuetz_sz", schuetz_sz),
+            ("knot-likeness", knotlike_check),
+            ("z_iso_exists", lambda c: z_iso_exists(c, unit_complex(), 0)),
+            ("z_iso_exists", lambda c: z_iso_exists(unit_complex(), c, 0)),
+            ("distance_d", lambda c: distance_d(c, unit_complex())),
+        ]
+        for layer, call in calls:
+            with pytest.raises(ValueError, match=f"^{layer}: invalid complex: d\\^2 != 0"):
                 call(c)
 
     def test_matches_bruteforce_oracle(self):

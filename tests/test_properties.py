@@ -11,12 +11,15 @@ from khconc import (
     Generator,
     GradedComplex,
     build_ck,
+    build_complex,
     build_staircase,
     chain_map_lattice,
     direct_sum,
     distance_d,
     dual,
+    field_normal_form,
     knotlike_check,
+    parse_braid,
     rasmussen_s,
     reduce,
     schuetz_sz,
@@ -26,8 +29,8 @@ from khconc import (
     validate,
     z_equivalent,
 )
-from khconc import intmat
-from khconc.invariants import _h0_class_data, g1_matrix
+from khconc import intmat, invariants
+from khconc.invariants import _h0_class_data, g1_matrix, integer_homology_profile
 
 import support
 
@@ -213,3 +216,38 @@ class TestH0ClassData:
             assert not any(intmat.matvec(d0, z))
             assert all(intmat.matvec([phi], col) == [0] for col in intmat.transpose(dm1))
             assert intmat.matvec([phi], z) == [1]
+
+
+def reduction_invariants(c):
+    """s_c through rasmussen_s and on the normal form of c as given, the
+    tuple, knot-likeness and the nonzero part of the homology profile."""
+    s = [(rasmussen_s(c, ch), field_normal_form(c, ch)[1].s) for ch in (0, 2, 3, 5)]
+    profile = {t: v for t, v in integer_homology_profile(c).items() if v != (0, [])}
+    return s, schuetz_sz(c), knotlike_check(c), profile
+
+
+class TestReductionInvariance:
+    """Unit cancellation is a homotopy equivalence, so the invariants
+    agree on C, on a scrambled C and on its reduction, and the entry points
+    that reduce first agree with the unreduced computation."""
+
+    def test_random_knotlike(self, monkeypatch):
+        rng = random.Random(17)
+        for _ in range(150):
+            c = support.random_knotlike(rng)
+            scrambled = support.scramble(c, rng)
+            expected = reduction_invariants(c)
+            assert reduction_invariants(scrambled) == expected
+            assert reduction_invariants(reduce(scrambled)) == expected
+            with monkeypatch.context() as m:
+                m.setattr(invariants, "reduce", lambda c: c)
+                assert reduction_invariants(scrambled) == expected
+
+    def test_unreduced_cubes(self, monkeypatch):
+        for braid in ("BR[2; 1,1,1]", "BR[3; 1,-2,1,-2]", "BR[2; 1,1,1,1,1]", "BR[3; 1,1,1,-2,1,-2]"):
+            cube = build_complex(parse_braid(braid))
+            expected = reduction_invariants(reduce(cube))
+            assert reduction_invariants(cube) == expected
+            with monkeypatch.context() as m:
+                m.setattr(invariants, "reduce", lambda c: c)
+                assert reduction_invariants(cube) == expected

@@ -23,6 +23,7 @@ from khconc import (
     z_equivalent,
     z_iso_exists,
 )
+from khconc import zeq
 from khconc.zeq import zeta
 
 import support
@@ -224,6 +225,18 @@ class TestZEquivalent:
 
 
 class TestDistance:
+    def test_h0_data_once_per_complex(self, monkeypatch):
+        calls = []
+
+        def counted(c):
+            calls.append(c)
+            return h0_class_data(c)
+
+        h0_class_data = zeq._h0_class_data
+        monkeypatch.setattr(zeq, "_h0_class_data", counted)
+        assert distance_d(build_ck(1), build_ck(2)) == 1
+        assert len(calls) == 2
+
     def test_self_distance_zero(self):
         for c in [unit_complex(), build_staircase((2, 4))]:
             assert distance_d(c, c, 5) == 0
