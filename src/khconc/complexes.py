@@ -8,7 +8,10 @@ from x to y: a map q^a -> q^b given by m*G^c has quantum degree -a + b - 2c,
 and the differential must have tq-degree (1, 0), so c = (b - a) / 2.
 
 Complexes are immutable once constructed; all algebra below (shift, dual,
-sum, tensor) returns fresh values.  Mutation goes through ComplexBuilder.
+sum, tensor) returns fresh values.  ComplexBuilder is the GElem-valued
+staging API for code that edits a complex entry by entry.  Cube emission
+and unit cancellation do not use it: they run on plain int scalars with the
+G-powers implied by the degrees, in a private store in simplify.
 """
 
 from __future__ import annotations
@@ -16,6 +19,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
+
+
+class InternalInvariantError(RuntimeError):
+    """An invariant the code itself guarantees failed: a bug, not bad input.
+
+    The message names the layer and the sizes involved.
+    """
+
+    def __init__(self, layer: str, problem: str, **sizes: int):
+        detail = ", ".join(f"{name} {size}" for name, size in sizes.items())
+        super().__init__(f"{layer}: internal invariant failed: {problem} ({detail})")
 
 
 @dataclass(frozen=True)
@@ -218,7 +232,11 @@ class GradedComplex:
 
 
 class ComplexBuilder:
-    """Mutable staging area for a GradedComplex, confined to one thread."""
+    """Mutable staging area for a GradedComplex, confined to one thread.
+
+    Entries are GElem values, as in GradedComplex; split_summands and
+    callers that edit a complex entry by entry use it.
+    """
 
     def __init__(self):
         self.gens: dict[str, Generator] = {}

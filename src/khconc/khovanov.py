@@ -27,8 +27,8 @@ import os
 import re
 from dataclasses import dataclass
 
-from .complexes import ComplexBuilder, GElem, GradedComplex
-from .simplify import _cancel_units
+from .complexes import GradedComplex, InternalInvariantError
+from .simplify import _Store
 
 DEFAULT_CROSSING_CAP = 12
 CAP_ENV_VAR = "KHCONC_CROSSING_CAP"
@@ -277,7 +277,9 @@ def connected_sum_pd(pd1: PDCode, pd2: PDCode) -> PDCode:
             for slot, label in enumerate(cross):
                 if label == arc and is_in(pdinfo, ci, slot):
                     return ci, slot
-        raise AssertionError(f"arc {arc} has no arrival slot")
+        raise InternalInvariantError(
+            "connected_sum_pd", f"arc {arc} has no arrival slot", crossings=len(pdinfo.crossings)
+        )
 
     crossings1 = [list(c) for c in pd1.crossings]
     crossings2 = [list(c) for c in info2.crossings]
@@ -295,8 +297,6 @@ def connected_sum_pd(pd1: PDCode, pd2: PDCode) -> PDCode:
 LABEL_ONE = "1"
 LABEL_X = "X"
 LABEL_BP = "bp"
-
-QDEG = {LABEL_ONE: 1, LABEL_X: -1, LABEL_BP: 0}
 
 # merge table: (label, label) -> list of (label, scalar, gpow)
 MERGE = {
@@ -422,94 +422,118 @@ def _circles(pd: PDCode, vertex: int) -> list[frozenset[int]]:
 
 
 class _VertexData:
-    __slots__ = ("circles", "bp_index", "ordinary", "index_of")
+    """A cube vertex's circles and generators.
 
-    def __init__(self, pd: PDCode, vertex: int):
+    bit maps each circle to its bit position in a generator mask, or to None
+    for the basepoint circle; ids lists the generator ids by mask.
+    """
+
+    __slots__ = ("circles", "bit", "ids", "tdeg", "qtop")
+
+    def __init__(self, pd: PDCode, vertex: int, tshift: int, qshift: int):
         self.circles = _circles(pd, vertex)
-        self.bp_index = next(i for i, c in enumerate(self.circles) if pd.basepoint in c)
-        self.ordinary = [i for i in range(len(self.circles)) if i != self.bp_index]
-        self.index_of = {c: i for i, c in enumerate(self.circles)}
+        ordinary = [c for c in self.circles if pd.basepoint not in c]
+        self.bit = {c: None for c in self.circles}
+        self.bit.update((c, pos) for pos, c in enumerate(ordinary))
+        self.ids = [f"{vertex}:{mask}" for mask in range(1 << len(ordinary))]
+        self.tdeg = vertex.bit_count() + tshift
+        # mask 0 labels every ordinary circle 1 (qdeg +1); each X bit costs 2
+        self.qtop = vertex.bit_count() + qshift + len(ordinary)
 
 
-def _gen_qdeg(pd: PDCode, vdata: _VertexData, vertex: int, mask: int) -> int:
-    q = vertex.bit_count() + pd.n_plus - 2 * pd.n_minus
-    for pos in range(len(vdata.ordinary)):
-        q += -1 if (mask >> pos) & 1 else 1
-    return q
+def _emit_vertex_gens(store: _Store, vdata: _VertexData) -> None:
+    for mask, gid in enumerate(vdata.ids):
+        store.add_gen(gid, vdata.tdeg, vdata.qtop - 2 * mask.bit_count())
 
 
-def _emit_vertex_gens(b: ComplexBuilder, pd: PDCode, vertex: int, vdata: _VertexData) -> None:
-    t = vertex.bit_count() - pd.n_minus
-    for mask in range(1 << len(vdata.ordinary)):
-        b.add_gen(f"{vertex}:{mask}", t, _gen_qdeg(pd, vdata, vertex, mask))
+def _carry_runs(moves: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """(mask, left, right) runs that move source bits to target bits.
+
+    moves lists (source bit, target bit) pairs in source order; a run is a
+    block of consecutive source bits shifted by one amount, so a target mask
+    is the OR of ((mask & run) << left) >> right over the runs.
+    """
+    runs: list[list[int]] = []
+    for p, p2 in moves:
+        if runs and runs[-1][1] == p and runs[-1][2] == p2 - p:
+            runs[-1][1] += 1
+        else:
+            runs.append([p, p + 1, p2 - p])
+    return [((1 << hi) - (1 << lo), max(d, 0), max(-d, 0)) for lo, hi, d in runs]
+
+
+def _edge_terms(
+    basepoint: int, sign: int, svd: _VertexData, tvd: _VertexData, stream: bool
+) -> tuple[int, dict[int, list[tuple[int, int, bool]]]]:
+    """The merge or split of one cube edge, read off the Frobenius tables.
+
+    Returns the mask of the source bits the edge reads and, for each value
+    of those bits, the (target bits set, scalar, queue as unit) terms.
+    Every term's scalar is +-1; the gpow-0 ones are units.
+    """
+    sbit, tbit = svd.bit, tvd.bit
+    src = [c for c in svd.circles if c not in tbit]
+    tgt = [c for c in tvd.circles if c not in sbit]
+    if len(tgt) == 2 and basepoint in tgt[1]:
+        # the basepoint circle takes the "old" role of the split table
+        tgt.reverse()
+    masks = [0]
+    for c in src:
+        if sbit[c] is not None:
+            masks += [m | 1 << sbit[c] for m in masks]
+
+    def label(mask: int, circle) -> str:
+        if sbit[circle] is None:
+            return LABEL_BP
+        return LABEL_X if (mask >> sbit[circle]) & 1 else LABEL_ONE
+
+    def x_bits(labels) -> int:
+        return sum(1 << tbit[c] for c, lab in zip(tgt, labels) if lab == LABEL_X)
+
+    terms = {}
+    for mask in masks:
+        if len(src) == 2:
+            table = MERGE[(label(mask, src[0]), label(mask, src[1]))]
+            rows = [((lab,), scal, gpow) for lab, scal, gpow in table]
+        else:
+            rows = [((old, new), scal, gpow) for old, new, scal, gpow in SPLIT[label(mask, src[0])]]
+        terms[mask] = [(x_bits(labels), sign * scal, stream and gpow == 0) for labels, scal, gpow in rows]
+    return masks[-1], terms
 
 
 def _emit_edge(
-    b: ComplexBuilder,
-    pd: PDCode,
+    store: _Store,
+    basepoint: int,
     src_vertex: int,
     svd: _VertexData,
     crossing: int,
     tvd: _VertexData,
+    stream: bool,
 ) -> None:
     """All differential entries from src_vertex along one cube edge.
 
-    Generators already removed by cancellation are skipped.
+    Sources already removed by cancellation are skipped; with stream set,
+    unit entries are queued for cancellation.
     """
-    tgt_vertex = src_vertex | (1 << crossing)
     sign = -1 if (src_vertex & ((1 << crossing) - 1)).bit_count() % 2 else 1
-    svc, tvc = svd.circles, tvd.circles
-    involved_src = [i for i, c in enumerate(svc) if c not in tvd.index_of]
-    involved_tgt = [i for i, c in enumerate(tvc) if c not in svd.index_of]
-    # carry map for untouched circles, by arc-set identity
-    carry = {i: tvd.index_of[c] for i, c in enumerate(svc) if c in tvd.index_of}
-
-    def label_of(svmask: int, circle_index: int) -> str:
-        if circle_index == svd.bp_index:
-            return LABEL_BP
-        pos = svd.ordinary.index(circle_index)
-        return LABEL_X if (svmask >> pos) & 1 else LABEL_ONE
-
-    def target_mask(labels: dict[int, str]) -> int:
-        mask = 0
-        for pos, ci in enumerate(tvd.ordinary):
-            if labels[ci] == LABEL_X:
-                mask |= 1 << pos
-        return mask
-
-    for smask in range(1 << len(svd.ordinary)):
-        src_id = f"{src_vertex}:{smask}"
-        if src_id not in b.gens:
+    read, terms = _edge_terms(basepoint, sign, svd, tvd, stream)
+    runs = _carry_runs(
+        [(p, tvd.bit[c]) for c in svd.circles if (p := svd.bit[c]) is not None and c in tvd.bit]
+    )
+    out, inc, queue = store.out, store.inc, store.queue
+    tids, tdeg = tvd.ids, svd.tdeg
+    for smask, src in enumerate(svd.ids):
+        row = out.get(src)
+        if row is None:
             continue
-        base_labels = {}
-        for i in carry:
-            base_labels[carry[i]] = label_of(smask, i)
-        if len(involved_src) == 2:
-            ia, ib = involved_src
-            la, lb = label_of(smask, ia), label_of(smask, ib)
-            if lb == LABEL_BP:
-                la, lb = lb, la
-            (ic,) = involved_tgt
-            for label, scal, gpow in MERGE[(la, lb)]:
-                labels = dict(base_labels)
-                labels[ic] = label
-                tgt_id = f"{tgt_vertex}:{target_mask(labels)}"
-                if tgt_id in b.gens:
-                    b.add_entry(src_id, tgt_id, GElem(sign * scal, gpow))
-        else:
-            (ia,) = involved_src
-            la = label_of(smask, ia)
-            ic, id_ = involved_tgt
-            # keep the basepoint circle in the "old" role of the split table
-            if pd.basepoint in tvc[id_]:
-                ic, id_ = id_, ic
-            for lold, lnew, scal, gpow in SPLIT[la]:
-                labels = dict(base_labels)
-                labels[ic] = lold
-                labels[id_] = lnew
-                tgt_id = f"{tgt_vertex}:{target_mask(labels)}"
-                if tgt_id in b.gens:
-                    b.add_entry(src_id, tgt_id, GElem(sign * scal, gpow))
+        carried = 0
+        for m, left, right in runs:
+            carried |= ((smask & m) << left) >> right
+        for bits, scal, unit in terms[smask & read]:
+            tgt = tids[carried | bits]
+            row[tgt] = inc[tgt][src] = scal
+            if unit:
+                queue.append((tdeg, src, tgt))
 
 
 def _crossing_cap(cap: int | None) -> int:
@@ -552,20 +576,25 @@ def _build(pd: PDCode, stream: bool) -> GradedComplex:
     against the survivors; the pivots come in the order reduce takes them.
     """
     n = len(pd.crossings)
-    b = ComplexBuilder()
+    n_plus, n_minus = pd.n_plus, pd.n_minus
+    store = _Store()
     prev: dict[int, _VertexData] = {}
     for weight in range(n + 1):
-        cur = {v: _VertexData(pd, v) for v in range(1 << n) if v.bit_count() == weight}
-        for v, vdata in cur.items():
-            _emit_vertex_gens(b, pd, v, vdata)
+        cur = {
+            v: _VertexData(pd, v, -n_minus, n_plus - 2 * n_minus)
+            for v in range(1 << n)
+            if v.bit_count() == weight
+        }
+        for vdata in cur.values():
+            _emit_vertex_gens(store, vdata)
         for v, svd in prev.items():
             for j in range(n):
                 if not (v >> j) & 1:
-                    _emit_edge(b, pd, v, svd, j, cur[v | (1 << j)])
+                    _emit_edge(store, pd.basepoint, v, svd, j, cur[v | (1 << j)], stream)
         if stream:
-            _cancel_units(b)
+            store.cancel_units()
         prev = cur
-    return b.freeze()
+    return store.freeze()
 
 
 def seifert_circle_count(pd: PDCode) -> int:

@@ -4,6 +4,10 @@ Three layers of simplification, in increasing strength:
 
   * cancel_pivot / reduce: Gaussian cancellation of +-1 entries.  This is a
     homotopy equivalence and the only simplification performed over Z[G].
+    It runs on a private store of plain int scalars: the G-power of an entry
+    is implied by the degrees, so the input's stored G-powers are checked
+    once on loading and GElems are made again only for the result.
+    khovanov's cube builder emits into, and cancels in, the same store.
   * split_summands: connected components of the generator graph, preceded
     by a deterministic divisibility-driven change of basis that zeroes
     entries when a parallel entry divides them.  Basis changes are
@@ -12,8 +16,9 @@ Three layers of simplification, in increasing strength:
     decomposes into a single free rank-one summand, two-generator pieces
     F[G] --G^c--> F[G] with c > 0, and an acyclic remainder.  Computed by
     Gaussian elimination on the entry of least G-power, which divides its
-    whole row and column; G-powers are read off the quantum degrees, so the
-    input must pass validate, and only field scalars are stored.
+    whole row and column, taken from a heap of pivot keys; G-powers are
+    read off the quantum degrees, so the input must pass validate, and only
+    field scalars are stored.
 """
 
 from __future__ import annotations
@@ -29,69 +34,139 @@ class NotKnotLikeError(ValueError):
     """Raised when an operation requires a knot-like complex and the input is not."""
 
 
+class _Store:
+    """The mutable complex behind cube emission and unit cancellation.
+
+    Generators map to their (t, q) degrees and entries to plain int scalars:
+    homogeneity fixes the G-power of an entry x -> y as (q_y - q_x)/2, so a
+    unit is a +-1 entry with q_y = q_x, and GElems are made only in freeze.
+    queue holds the (t_src, src, tgt) keys of unit entries; a key whose
+    entry has since changed or gone is skipped when popped.  khovanov's cube
+    emission writes entries into out and inc, and their keys into queue,
+    directly.
+    """
+
+    __slots__ = ("deg", "out", "inc", "queue")
+
+    def __init__(self):
+        self.deg: dict[str, tuple[int, int]] = {}
+        self.out: dict[str, dict[str, int]] = {}
+        self.inc: dict[str, dict[str, int]] = {}
+        self.queue: list[tuple[int, str, str]] = []
+
+    @classmethod
+    def load(cls, complex: GradedComplex, layer: str) -> "_Store":
+        """The complex as scalars; an entry whose G-power its degrees do not
+        force raises ValueError naming the layer."""
+        store = cls()
+        deg, out, inc, queue = store.deg, store.out, store.inc, store.queue
+        for g in complex.generators:
+            store.add_gen(g.id, g.tdeg, g.qdeg)
+        for src, tgt, val in complex.iter_entries():
+            ts, qs = deg[src]
+            qt = deg[tgt][1]
+            if 2 * val.gpow != qt - qs:
+                raise ValueError(
+                    f"{layer}: entry {src}->{tgt} = {val!r} is inhomogeneous: "
+                    f"qdeg {qs} -> {qt} forces G-power ({qt} - {qs})/2"
+                )
+            out[src][tgt] = inc[tgt][src] = val.scalar
+            if qt == qs and val.scalar in (1, -1):
+                queue.append((ts, src, tgt))
+        return store
+
+    def add_gen(self, gid: str, tdeg: int, qdeg: int) -> None:
+        self.deg[gid] = (tdeg, qdeg)
+        self.out[gid] = {}
+        self.inc[gid] = {}
+
+    def cancel(self, src: str, tgt: str, unit: int) -> None:
+        """Cancel the unit entry src -> tgt by the elimination lemma.
+
+        Every d(a, z) with a -> tgt and src -> z becomes
+        d(a, z) - d(a, tgt) * unit^-1 * d(src, z), then src and tgt go.
+        Entries that become units are queued.
+        """
+        deg, out, inc, queue = self.deg, self.out, self.inc, self.queue
+        col = [(z, -unit * x) for z, x in out[src].items() if z != tgt]
+        for a, y in inc[tgt].items():
+            if a == src:
+                continue
+            row = out[a]
+            ta, qa = deg[a]
+            for z, x in col:
+                v = row.get(z, 0) + y * x
+                if v:
+                    row[z] = inc[z][a] = v
+                    if (v == 1 or v == -1) and deg[z][1] == qa:
+                        heapq.heappush(queue, (ta, a, z))
+                else:
+                    del row[z], inc[z][a]
+        for gid in (src, tgt):
+            for z in out.pop(gid):
+                del inc[z][gid]
+            for a in inc.pop(gid):
+                del out[a][gid]
+            del deg[gid]
+
+    def cancel_units(self) -> None:
+        """Cancel unit entries until none remain.
+
+        Pivots are taken lowest homological degree first, then by source and
+        target id, so the output representative is reproducible byte for
+        byte.  The queue holds a key for every unit entry, so the least
+        valid key popped is the least unit entry present.
+        """
+        queue, out = self.queue, self.out
+        heapq.heapify(queue)
+        while queue:
+            _, src, tgt = heapq.heappop(queue)
+            row = out.get(src)
+            val = row.get(tgt) if row is not None else None
+            if val == 1 or val == -1:
+                self.cancel(src, tgt, val)
+
+    def freeze(self) -> GradedComplex:
+        deg = self.deg
+        memo: dict[tuple[int, int], GElem] = {}
+        entries = {}
+        for src, row in self.out.items():
+            qs = deg[src][1]
+            for tgt, v in row.items():
+                key = (v, (deg[tgt][1] - qs) // 2)
+                val = memo.get(key)
+                if val is None:
+                    val = memo[key] = GElem(*key)
+                entries[(src, tgt)] = val
+        return GradedComplex([Generator(gid, t, q) for gid, (t, q) in deg.items()], entries)
+
+
 def cancel_pivot(complex: GradedComplex, entry: tuple[str, str]) -> GradedComplex:
     """Cancel the generator pair joined by a +-1*G^0 entry.
 
     The surviving differential picks up the correction E - D*u^(-1)*C, which
-    preserves the homotopy type and drops the total rank by two.
+    preserves the homotopy type and drops the total rank by two.  An entry
+    whose G-power its degrees do not force raises ValueError.
     """
     src, tgt = entry
-    if src not in complex or tgt not in complex:
+    store = _Store.load(complex, "cancel_pivot")
+    val = store.out.get(src, {}).get(tgt)
+    if val is None:
         raise KeyError(f"no such entry {src!r}->{tgt!r}")
-    val = complex.entry(src, tgt)
-    if val.is_zero():
-        raise KeyError(f"no such entry {src!r}->{tgt!r}")
-    if not val.is_unit():
-        raise ValueError(f"pivot {src!r}->{tgt!r} = {val!r} is not a unit of Z[G]")
-    b = complex.builder()
-    _cancel(b, src, tgt, val.scalar)
-    return b.freeze()
-
-
-def _cancel(b: ComplexBuilder, src: str, tgt: str, unit: int) -> None:
-    row = [(a, v) for a, v in b.inc[tgt].items() if a != src]
-    col = [(z, v) for z, v in b.out[src].items() if z != tgt]
-    for a, ca in row:
-        for z, dz in col:
-            b.add_entry(a, z, GElem(-unit * ca.scalar * dz.scalar, ca.gpow + dz.gpow))
-    b.remove_gen(src)
-    b.remove_gen(tgt)
+    if val not in (1, -1) or store.deg[src][1] != store.deg[tgt][1]:
+        raise ValueError(f"pivot {src!r}->{tgt!r} = {complex.entry(src, tgt)!r} is not a unit of Z[G]")
+    store.cancel(src, tgt, val)
+    return store.freeze()
 
 
 def reduce(complex: GradedComplex) -> GradedComplex:
-    """Cancel unit pivots until none remain."""
-    b = complex.builder()
-    _cancel_units(b)
-    return b.freeze()
+    """Cancel unit pivots until none remain.
 
-
-def _cancel_units(b: ComplexBuilder) -> None:
-    """Cancel unit entries in place until none remain.
-
-    Pivots are processed lowest homological degree first, then by source and
-    target id, so the output representative is reproducible byte for byte.
+    An entry whose G-power its degrees do not force raises ValueError.
     """
-    heap = [
-        (b.gens[src].tdeg, src, tgt)
-        for src, row in b.out.items()
-        for tgt, v in row.items()
-        if v.is_unit()
-    ]
-    heapq.heapify(heap)
-    while heap:
-        _, src, tgt = heapq.heappop(heap)
-        if src not in b.gens or tgt not in b.gens:
-            continue
-        val = b.entry(src, tgt)
-        if not val.is_unit():
-            continue
-        touched_rows = [a for a in b.inc[tgt] if a != src]
-        _cancel(b, src, tgt, val.scalar)
-        for a in touched_rows:
-            ta = b.gens[a].tdeg
-            for z, v in b.out[a].items():
-                if v.is_unit():
-                    heapq.heappush(heap, (ta, a, z))
+    store = _Store.load(complex, "reduce")
+    store.cancel_units()
+    return store.freeze()
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +345,9 @@ def field_normal_form(
     The complex must pass validate: G-powers are read off the degrees, an
     entry v -> w being lambda*G^c with c = (q_w - q_v)/2, so only the field
     scalars lambda are stored.  Repeatedly pick the entry of least G-power
-    (ties by homological degree, then ids); it divides every entry in its row
+    (ties by homological degree, then ids; the keys depend only on degrees
+    and ids, so a heap with every entry's key, pushed as elimination creates
+    entries, yields them in order); it divides every entry in its row
     and column, so the elimination lemma removes v and w and subtracts
     d(a,w) d(v,w)^-1 d(v,b) from every d(a,b).  A pair with c > 0 is a piece
     F[G] --G^c--> F[G].  Exactly one generator must survive, in homological
@@ -296,18 +373,14 @@ def field_normal_form(
         if x:
             out[src][tgt] = inc[tgt][src] = x
 
+    # pivot keys of every entry present; keys of eliminated entries are skipped
+    heap = [(q[w] - q[v], t[v], v, w) for v, row in out.items() for w in row]
+    heapq.heapify(heap)
     pieces: list[tuple[int, int, int]] = []
-    while True:
-        pivot = None
-        for v, row in out.items():
-            qv, tv = q[v], t[v]
-            for w in row:
-                key = (q[w] - qv, tv, v, w)
-                if pivot is None or key < pivot:
-                    pivot = key
-        if pivot is None:
-            break
-        dq, _, v, w = pivot
+    while heap:
+        dq, _, v, w = heapq.heappop(heap)
+        if w not in out.get(v, ()):
+            continue
         lam_inv = inverse(out[v][w])
         col = [(b, x * lam_inv) for b, x in out[v].items() if b != w]
         for a, y in inc[w].items():
@@ -317,6 +390,8 @@ def field_normal_form(
             for b, x in col:
                 z = scalar(row.get(b, 0) - y * x)
                 if z:
+                    if b not in row:
+                        heapq.heappush(heap, (q[b] - q[a], t[a], a, b))
                     row[b] = inc[b][a] = z
                 else:
                     row.pop(b, None)

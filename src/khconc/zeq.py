@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import intmat
-from .complexes import GElem, GradedComplex, tensor, dual
+from .complexes import GElem, GradedComplex, InternalInvariantError, tensor, dual
 from .invariants import _h0_class_data, _reduced
 
 # (t = 0 ids, class covector, generator cycle), as _h0_class_data returns it
@@ -140,8 +140,13 @@ def z_iso_exists(source: GradedComplex, target: GradedComplex, qdegree: int) -> 
 
 
 def z_equivalent(c1: GradedComplex, c2: GradedComplex) -> bool:
-    """Z-isomorphisms of quantum degree 0 in both directions."""
-    return z_iso_exists(c1, c2, 0) and z_iso_exists(c2, c1, 0)
+    """Z-isomorphisms of quantum degree 0 in both directions.
+
+    Each complex is validated, reduced and given its H_0 class data once.
+    """
+    c1, c2 = _reduced(c1, "z_equivalent"), _reduced(c2, "z_equivalent")
+    h1, h2 = _h0_class_data(c1), _h0_class_data(c2)
+    return _lattice(c1, c2, 0, h1, h2).image_gcd == 1 and _lattice(c2, c1, 0, h2, h1).image_gcd == 1
 
 
 def default_distance_bound(c1: GradedComplex, c2: GradedComplex) -> int:
@@ -220,8 +225,9 @@ def inverse_witness(complex: GradedComplex) -> InverseWitness:
     for gid, coeff in f.items():
         for tgt, val in product.out_of(gid).items():
             residue[tgt] = residue.get(tgt, GElem(0)).plus(coeff * val)
+    sizes = {"rank": complex.total_rank, "product_rank": product.total_rank}
     if any(not v.is_zero() for v in residue.values()):
-        raise AssertionError("inverse witness f is not a chain map")
+        raise InternalInvariantError("inverse_witness", "f is not a chain map", **sizes)
     # g is a chain map iff it kills every boundary from degree -1
     for gen in product.generators:
         if gen.tdeg != -1:
@@ -232,12 +238,12 @@ def inverse_witness(complex: GradedComplex) -> InverseWitness:
             if coeff is not None:
                 acc = acc.plus(val * coeff)
         if not acc.is_zero():
-            raise AssertionError("inverse witness g is not a chain map")
+            raise InternalInvariantError("inverse_witness", "g is not a chain map", **sizes)
     total = GElem(0)
     for gid, coeff in f.items():
         other = gmap.get(gid)
         if other is not None:
             total = total.plus(coeff * other)
     if total != GElem(1, 0):
-        raise AssertionError(f"g(f(1)) = {total!r}, expected 1")
+        raise InternalInvariantError("inverse_witness", f"g(f(1)) = {total!r}, expected 1", **sizes)
     return InverseWitness(product=product, f=f, g=gmap)

@@ -5,6 +5,7 @@ homology dimensions are computed by dense rank computations over Q or F_p,
 and filtration subgroups by enumerating small integer cycles.
 """
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -34,6 +35,37 @@ def invalid_reducing_to_unit():
     ids = [("a", -1), ("b", 0), ("c", 1), ("e", 2)]
     gens = [Generator(gid, t, 0) for gid, t in ids] + [Generator("u", 0, 0)]
     return GradedComplex(gens, {(x, y): GElem(1, 0) for (x, _), (y, _) in zip(ids, ids[1:])})
+
+
+def reference_reduce(c):
+    """Unit cancellation on GElem entries through a ComplexBuilder.
+
+    The least (tdeg, src, tgt) unit entry is cancelled first.  The heap
+    starts with every unit entry and, after each cancellation, gets every
+    unit entry of every row the cancellation touched; stale keys are skipped.
+    """
+    b = c.builder()
+    heap = [(b.gens[s].tdeg, s, t) for s, row in b.out.items() for t, v in row.items() if v.is_unit()]
+    heapq.heapify(heap)
+    while heap:
+        _, src, tgt = heapq.heappop(heap)
+        if src not in b.gens or tgt not in b.gens:
+            continue
+        unit = b.entry(src, tgt)
+        if not unit.is_unit():
+            continue
+        rows = [(a, v) for a, v in b.inc[tgt].items() if a != src]
+        cols = [(z, v) for z, v in b.out[src].items() if z != tgt]
+        for a, ca in rows:
+            for z, dz in cols:
+                b.add_entry(a, z, GElem(-unit.scalar * ca.scalar * dz.scalar, ca.gpow + dz.gpow))
+        b.remove_gen(src)
+        b.remove_gen(tgt)
+        for a, _ in rows:
+            for z, v in b.out[a].items():
+                if v.is_unit():
+                    heapq.heappush(heap, (b.gens[a].tdeg, a, z))
+    return b.freeze()
 
 
 def random_knotlike(rng, max_pieces=2):

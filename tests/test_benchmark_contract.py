@@ -57,6 +57,8 @@ def test_wrapped_pass_records_every_layer():
         tracer.call("invariants.rasmussen_s", invariants.rasmussen_s, c1, 0)
         tracer.call("invariants.sz", invariants.schuetz_sz, c1)
         tracer.call("zeq.z_equivalent", zeq.z_equivalent, c1, unit_complex())
+        # as benchmark/pipelines.py's lattice job, through the wrapped attribute
+        zeq.chain_map_lattice(c1, c1, 0)
     recorded = {name for name, *_ in tracer.spans}
     assert {span for _, _, span in spans.WRAPPED} <= recorded
     metrics = tracer.pass_metrics(0, wall_s=1.0)

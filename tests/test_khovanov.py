@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 from khconc import (
+    InternalInvariantError,
     ResourceCapError,
     build_complex,
     connected_sum_pd,
@@ -203,6 +206,15 @@ class TestMirrorAndSum:
         both = connected_sum_pd(pd1, pd1)
         c = reduce(build_complex(both))
         assert rasmussen_s(c, 0) == 4
+
+    def test_missing_arrival_slot_is_internal_error(self):
+        # a PDCode made by hand, basepointed on an arc the diagram lacks
+        pd = parse_braid("BR[2; 1,1,1]")
+        broken = dataclasses.replace(pd, basepoint=99)
+        with pytest.raises(
+            InternalInvariantError, match=r"^connected_sum_pd: .*arc 99 has no arrival slot \(crossings 3\)"
+        ):
+            connected_sum_pd(broken, pd)
 
 
 class TestPositiveDiagramBound:

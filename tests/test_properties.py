@@ -25,6 +25,7 @@ from khconc import (
     schuetz_sz,
     shift,
     tensor,
+    to_json,
     unit_complex,
     validate,
     z_equivalent,
@@ -251,3 +252,36 @@ class TestReductionInvariance:
             with monkeypatch.context() as m:
                 m.setattr(invariants, "reduce", lambda c: c)
                 assert reduction_invariants(cube) == expected
+
+
+class TestReduceMatchesReference:
+    """reduce on int scalars, with a queue of new units only, against the
+    GElem loop with a queue of every unit of every touched row."""
+
+    def test_unreduced_cubes(self):
+        braids = ("BR[2; 1,1,1]", "BR[3; 1,-2,1,-2]", "BR[3; 1,1,1,-2,1,-2]", "BR[2; 1,1,1,1,1]", "BR[3; 1,2,1,2,1,2,1,2]")
+        for braid in braids:
+            cube = build_complex(parse_braid(braid))
+            assert to_json(reduce(cube)) == to_json(support.reference_reduce(cube)), braid
+
+    def test_scrambled_knotlike(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            c = support.scramble(support.random_knotlike(rng, max_pieces=4), rng, moves=12)
+            assert to_json(reduce(c)) == to_json(support.reference_reduce(c))
+
+    def test_scrambled_tensor_products(self):
+        # several cancellations per complex, with fill-in between them
+        rng = random.Random(31)
+        cancelled = 0
+        for _ in range(30):
+            a, b = (support.random_knotlike(rng, max_pieces=3) for _ in range(2))
+            c = support.scramble(tensor(a, b), rng, moves=20)
+            r = reduce(c)
+            assert to_json(r) == to_json(support.reference_reduce(c))
+            cancelled += (c.total_rank - r.total_rank) // 2
+        assert cancelled > 100
+
+    def test_invalid_reducing_to_unit(self):
+        c = support.invalid_reducing_to_unit()
+        assert to_json(reduce(c)) == to_json(support.reference_reduce(c))

@@ -142,6 +142,14 @@ class TestReduce:
             assert not any(v.is_unit() for _, _, v in r.iter_entries())
             assert euler_char(r) == euler_char(c)
 
+    def test_inhomogeneous_entry_rejected(self):
+        # the degrees force G^0 on a -> b, so the stored G cannot be carried
+        c = GradedComplex([Generator("a", 0, 0), Generator("b", 1, 0)], {("a", "b"): GElem(1, 1)})
+        with pytest.raises(ValueError, match="^reduce: entry a->b"):
+            reduce(c)
+        with pytest.raises(ValueError, match="^cancel_pivot: entry a->b"):
+            cancel_pivot(c, ("a", "b"))
+
 
 def random_unit_riddled_complex(rng):
     """Random valid complex with plenty of unit entries to cancel."""

@@ -7,8 +7,10 @@ from khconc import (
     GElem,
     Generator,
     GradedComplex,
+    InternalInvariantError,
     NotKnotLikeError,
     build_ck,
+    build_complex,
     build_staircase,
     chain_map_lattice,
     direct_sum,
@@ -16,6 +18,7 @@ from khconc import (
     dual,
     generator_cycle,
     inverse_witness,
+    parse_braid,
     reduce,
     shift,
     tensor,
@@ -236,6 +239,11 @@ class TestDistance:
         monkeypatch.setattr(zeq, "_h0_class_data", counted)
         assert distance_d(build_ck(1), build_ck(2)) == 1
         assert len(calls) == 2
+        calls.clear()
+        # 4_1 is amphichiral, so C^1 (x) 4_1 (x) 4_1 is Z-equivalent to C^1
+        fig8 = reduce(build_complex(parse_braid("BR[3; 1,-2,1,-2]")))
+        assert z_equivalent(tensor(tensor(build_ck(1), fig8), fig8), build_ck(1))
+        assert len(calls) == 2
 
     def test_self_distance_zero(self):
         for c in [unit_complex(), build_staircase((2, 4))]:
@@ -286,6 +294,18 @@ class TestInverseWitness:
             assert w.product.total_rank == c.total_rank**2
             diag = [gid for gid, v in w.f.items() if not v.is_zero()]
             assert len(diag) == c.total_rank
+
+    def test_broken_product_is_internal_error(self, monkeypatch):
+        def negated_dual(c):
+            d = dual(c)
+            return GradedComplex(d.generators, {(s, t): -v for s, t, v in d.iter_entries()})
+
+        monkeypatch.setattr(zeq, "dual", negated_dual)
+        with pytest.raises(
+            InternalInvariantError,
+            match=r"^inverse_witness: .*f is not a chain map \(rank 3, product_rank 9\)",
+        ):
+            inverse_witness(build_staircase((2,)))
 
     def test_euler_char_obstruction(self):
         with pytest.raises(ValueError):
