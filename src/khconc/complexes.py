@@ -273,9 +273,6 @@ class ComplexBuilder:
     def entry(self, src: str, tgt: str) -> GElem:
         return self.out[src].get(tgt, GElem(0))
 
-    def entry_count(self) -> int:
-        return sum(len(row) for row in self.out.values())
-
     def freeze(self) -> GradedComplex:
         entries = {(s, t): v for s, row in self.out.items() for t, v in row.items()}
         return GradedComplex(self.gens.values(), entries)

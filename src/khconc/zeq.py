@@ -35,27 +35,16 @@ class ChainMapLattice:
     """Lattice of homogeneous chain maps source -> target of one quantum degree.
 
     pairs[i] is the (source id, target id) generator pair of unknown i; basis
-    holds integer kernel vectors of the chain-map equations; lam[j] is the
-    induced multiplier on H_0(. at G=1) of basis vector j, the target's class
-    covector applied to the image of the source's generator cycle, and
-    image_gcd generates the subgroup {lambda(f)} of Z.
+    holds integer kernel vectors of the chain-map equations.  image_gcd
+    generates the subgroup {lambda(f)} of Z, where lambda(f) is the
+    multiplier that f induces on H_0(. at G=1): the target's class covector
+    applied to the image of the source's generator cycle.
     """
 
     qdegree: int
     pairs: list[tuple[str, str]]
     basis: list[list[int]]
-    lam: list[int]
     image_gcd: int
-
-    def map_from_coeffs(self, coeffs: list[int]) -> dict[tuple[str, str], int]:
-        out: dict[tuple[str, str], int] = {}
-        for j, c in enumerate(coeffs):
-            if c:
-                for i, u in enumerate(self.basis[j]):
-                    if u:
-                        key = self.pairs[i]
-                        out[key] = out.get(key, 0) + c * u
-        return {k: v for k, v in out.items() if v}
 
 
 def admissible_pairs(
@@ -124,10 +113,8 @@ def _lattice(
     alpha = dict(zip(ssrcs, cycle))
     beta = dict(zip(tsrcs, phi))
     weight = [alpha.get(x, 0) * beta.get(y, 0) for x, y in pairs]
-    lam = [sum(u * w for u, w in zip(vec, weight)) for vec in basis]
-    return ChainMapLattice(
-        qdegree=qdegree, pairs=pairs, basis=basis, lam=lam, image_gcd=math.gcd(*lam)
-    )
+    image_gcd = math.gcd(*(sum(u * w for u, w in zip(vec, weight)) for vec in basis))
+    return ChainMapLattice(qdegree=qdegree, pairs=pairs, basis=basis, image_gcd=image_gcd)
 
 
 def z_iso_exists(source: GradedComplex, target: GradedComplex, qdegree: int) -> bool:

@@ -1,27 +1,47 @@
-"""What benchmark/spans.py reads from the package, checked in the fast suite.
+"""What benchmark/spans.py and generate.py use of the package, checked in the fast suite.
 
 The traced benchmark run wraps package attributes by name and reads fields
-of their outputs; a refactor that renames one or changes an output's shape
-would otherwise only show in the benchmark's own self-test.
+of their outputs, and the set-up builds its inputs through the package; a
+refactor that renames one or changes an output's shape would otherwise only
+show in the benchmark's own self-test.
 """
 
 import importlib
 import importlib.util
+import random
+import sys
 from pathlib import Path
 
-from khconc import build_ck, chain_map_lattice, parse_pd, reduce, unit_complex
+from khconc import build_ck, chain_map_lattice, parse_pd, reduce, unit_complex, validate, z_equivalent
 from khconc import intmat, invariants, khovanov, simplify, zeq
 from khconc.invariants import g1_matrix
 
-SPANS = Path(__file__).resolve().parent.parent / "benchmark" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "benchmark"
 RIGHT_TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
+def load_benchmark_module(name):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load_benchmark_module("spans")
+
+
+def test_setup_builds_every_workload():
+    generate = load_benchmark_module("generate")
+    for workload in generate.WORKLOADS:
+        lists = generate.make_jobs(workload, 1, tiny=True)
+        assert lists and all(lists), workload
+    c1 = build_ck(1)
+    sheared = generate.shear(c1, random.Random(0))
+    assert validate(sheared) == []
+    assert z_equivalent(sheared, c1)
 
 
 def test_wrapped_attributes_resolve():

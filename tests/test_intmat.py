@@ -4,7 +4,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from khconc import intmat
+from khconc import intmat, khovanov, parse_braid, reduce
+from khconc.invariants import integer_homology_profile
 
 
 def rand_matrix(rng, m, n, lo=-6, hi=6):
@@ -21,21 +22,28 @@ def matrices(draw):
     return [[draw(st_entries) for _ in range(n)] for _ in range(m)]
 
 
+def column_rows(a):
+    """Column j of A followed by e_j, as kernel_basis and solve build them."""
+    m, n = len(a), len(a[0])
+    return [[a[i][j] for i in range(m)] + [int(k == j) for k in range(n)] for j in range(n)]
+
+
 @given(matrices())
 @settings(max_examples=120, deadline=None)
 def test_column_echelon_relation(a):
-    e, t, r = intmat.column_echelon(a)
-    n = len(a[0])
-    assert intmat.matmul(a, t) == e
-    for j in range(r, n):
-        assert all(e[i][j] == 0 for i in range(len(a)))
-    # pivot rows strictly increase, pivots positive
-    rows = []
-    for j in range(r):
-        i = next(i for i in range(len(a)) if e[i][j] != 0)
-        assert e[i][j] > 0
-        rows.append(i)
-    assert rows == sorted(rows) and len(set(rows)) == len(rows)
+    m = len(a)
+    rows = column_rows(a)
+    r = intmat._echelon(rows, m)
+    heads, tails = [row[:m] for row in rows], [row[m:] for row in rows]
+    # every row stays (A e, e) for its tail e, and the tails stay unimodular
+    for head, tail in zip(heads, tails):
+        assert intmat.matvec(a, tail) == head
+    assert det(tails) in (1, -1)
+    assert not any(any(head) for head in heads[r:])
+    # pivot positions strictly increase, pivots positive
+    positions = [next(i for i, x in enumerate(head) if x) for head in heads[:r]]
+    assert positions == sorted(set(positions))
+    assert all(head[i] > 0 for head, i in zip(heads, positions))
 
 
 @given(matrices())
@@ -50,8 +58,29 @@ def test_kernel_rank_nullity():
     for _ in range(60):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = rand_matrix(rng, m, n)
-        _, _, r = intmat.column_echelon(a)
+        r = intmat._echelon(column_rows(a), m)
         assert len(intmat.kernel_basis(a)) == n - r
+
+
+# (A, kernel_basis(A), b, solve(A, b)): the pivot rule fixes these vectors
+PINNED = [
+    ([[2, 4, 6], [1, 3, 5]], [[1, -2, 1]], [4, 3], [0, 1, 0]),
+    ([[3, -5, 7, 0], [0, 2, -4, 6], [1, 1, 1, 1]], [[13, -2, -7, -4]], [5, -2, 7], [-24, 7, 16, 8]),
+    ([[6, 10, 15]], [[5, 0, -2], [-5, -3, 4]], [1], [1, 1, -1]),
+    ([[1, 2, 3], [2, 4, 6], [3, 6, 9]], [[-2, 1, 0], [-3, 0, 1]], [2, 4, 6], [2, 0, 0]),
+    ([[0, 4, -6], [8, 0, 2]], [[1, -6, -4]], [2, 1], None),
+]
+
+
+def test_pinned_outputs():
+    for a, kernel, b, x in PINNED:
+        assert intmat.kernel_basis(a) == kernel, a
+        assert intmat.solve(a, b) == x, (a, b)
+
+
+def test_kernel_of_empty_matrix_is_standard_basis():
+    assert intmat.kernel_basis([], ncols=2) == [[1, 0], [0, 1]]
+    assert intmat.solve([], []) == []
 
 
 def test_solve_roundtrip():
@@ -105,3 +134,23 @@ def test_invariant_factors_example():
     assert intmat.smith_form(a) == [2, 4]
     b = [[2, 0], [0, 3]]
     assert intmat.smith_form(b) == [1, 6]
+
+
+def test_smith_form_alternates_echelons():
+    a = [[0, 4], [1, 2]]
+    # a column echelon, then a row echelon, leaves a 1 off the diagonal
+    rows = intmat.transpose(a)
+    rows = intmat.transpose(rows[: intmat._echelon(rows, 2)])
+    rows = rows[: intmat._echelon(rows, 2)]
+    assert rows == [[2, 1], [0, 2]]
+    assert intmat.smith_form(a) == [1, 4]
+
+
+def test_homology_profile_of_cube_equals_that_of_reduction():
+    for word in ("BR[2; 1,1,1,1,1]", "BR[3; 1,2,1,2,1,2,1,2]"):
+        cube = khovanov._build(parse_braid(word), stream=False)
+        reduced = reduce(cube)
+        assert cube.total_rank > 10 * reduced.total_rank
+        profile = {t: v for t, v in integer_homology_profile(cube).items() if v != (0, [])}
+        assert profile == {0: (1, [])}
+        assert profile == {t: v for t, v in integer_homology_profile(reduced).items() if v != (0, [])}

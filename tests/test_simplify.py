@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -25,31 +24,21 @@ from khconc import (
     unit_complex,
     validate,
 )
-from khconc import intmat
-from khconc.invariants import g1_matrix
 
-
-def acyclic_square(q=0, t=0, tag="sq"):
-    gens = [
-        Generator(f"{tag}.a", t, q),
-        Generator(f"{tag}.b", t + 1, q),
-    ]
-    return GradedComplex(gens, {(f"{tag}.a", f"{tag}.b"): GElem(1, 0)})
+from support import (
+    acyclic_square,
+    entry_multiset,
+    expected_truncated_dims,
+    g1_field_homology_dims,
+    random_knotlike,
+    scramble,
+    truncated_homology_dims,
+)
 
 
 def g1_homology_dims(c):
-    lo, hi = c.tdeg_range()
-    dims = {}
-    for t in range(lo, hi + 1):
-        mat, srcs, _ = g1_matrix(c, t)
-        prev, psrcs, _ = g1_matrix(c, t - 1)
-        rank = len(intmat.smith_form(mat)) if mat and srcs else 0
-        prev_facs = intmat.smith_form(prev) if prev and psrcs else []
-        dims[t] = (
-            len(srcs) - rank - len(prev_facs),
-            [f for f in prev_facs if f > 1],
-        )
-    return {t: d for t, d in dims.items() if d != (0, [])}
+    """G = 1 homology dims over Q and small prime fields, by field ranks."""
+    return {char: g1_field_homology_dims(c, char) for char in (0, 2, 3, 5)}
 
 
 class TestCancelPivot:
@@ -249,7 +238,7 @@ class TestFieldNormalForm:
         rng = random.Random(19)
         for _ in range(12):
             base = random_knotlike(rng)
-            scrambled = scramble(base, rng)
+            scrambled = scramble(base, rng, moves=6)
             assert validate(scrambled) == []
             for char in (0, 2, 3, 5):
                 _, nf1 = field_normal_form(base, char)
@@ -261,7 +250,7 @@ class TestFieldNormalForm:
     def test_matches_brute_force_filtration_homology(self):
         rng = random.Random(23)
         for _ in range(12):
-            c = scramble(random_knotlike(rng), rng)
+            c = scramble(random_knotlike(rng), rng, moves=6)
             for char in (0, 2, 3):
                 _, nf = field_normal_form(c, char)
                 mmax = max([cexp for _, _, cexp in nf.pieces], default=0) + 2
@@ -269,123 +258,6 @@ class TestFieldNormalForm:
                     assert truncated_homology_dims(c, char, m) == expected_truncated_dims(
                         nf, m
                     ), (nf, char, m)
-
-
-def random_knotlike(rng):
-    """t^0 q^0 summand plus pieces and acyclic squares, before scrambling."""
-    parts = [unit_complex(qdeg=2 * rng.randint(-1, 1), gid="core")]
-    for i in range(rng.randint(0, 2)):
-        t = rng.randint(-1, 1)
-        q = 2 * rng.randint(-1, 1)
-        cexp = rng.randint(1, 2)
-        gens = [
-            Generator(f"p{i}a", t, q),
-            Generator(f"p{i}b", t + 1, q + 2 * cexp),
-        ]
-        scal = rng.choice([1, -1])
-        parts.append(
-            GradedComplex(gens, {(f"p{i}a", f"p{i}b"): GElem(scal, cexp)})
-        )
-    if rng.random() < 0.5:
-        parts.append(acyclic_square(q=2 * rng.randint(-1, 1), t=rng.randint(-1, 1), tag=f"s{rng.randint(0,9)}"))
-    out = parts[0]
-    for p in parts[1:]:
-        out = direct_sum(out, p)
-    return out
-
-
-def scramble(c, rng, moves=6):
-    """Random homogeneous degree-(0,0) shear automorphisms."""
-    b = c.builder()
-    ids = list(b.gens)
-    for _ in range(moves):
-        x, y = rng.choice(ids), rng.choice(ids)
-        gx, gy = b.gens[x], b.gens[y]
-        if x == y or gx.tdeg != gy.tdeg or gy.qdeg < gx.qdeg or (gy.qdeg - gx.qdeg) % 2:
-            continue
-        m = rng.choice([1, -1, 2])
-        f = GElem(m, (gy.qdeg - gx.qdeg) // 2)
-        # x := x + f*y as a basis change
-        for z, v in list(b.out[y].items()):
-            b.add_entry(x, z, GElem(f.scalar * v.scalar, f.gpow + v.gpow))
-        for u, v in list(b.inc[x].items()):
-            b.add_entry(u, y, GElem(-f.scalar * v.scalar, f.gpow + v.gpow))
-    return b.freeze()
-
-
-def truncated_homology_dims(c, char, m):
-    """t-graded F-dimensions of H(C (x) F[G]/G^m) by brute force.
-
-    Each generator becomes m copies (G-power 0..m-1); an entry s*G^g maps
-    copy j to copy j+g.  Ranks are computed over Q or F_p directly.
-    """
-    lo, hi = c.tdeg_range()
-    gens_at = {t: [g for g in c.generators if g.tdeg == t] for t in range(lo, hi + 1)}
-
-    def block_matrix(t):
-        srcs = gens_at.get(t, [])
-        tgts = gens_at.get(t + 1, [])
-        rows = len(tgts) * m
-        cols = len(srcs) * m
-        mat = [[0] * cols for _ in range(rows)]
-        tix = {g.id: i for i, g in enumerate(tgts)}
-        for j, g in enumerate(srcs):
-            for tgt, val in c.out_of(g.id).items():
-                i = tix[tgt]
-                for k in range(m - val.gpow):
-                    mat[i * m + k + val.gpow][j * m + k] = val.scalar
-        return mat, cols
-
-    def rank(mat, char):
-        if not mat or not mat[0]:
-            return 0
-        if char == 0:
-            a = [[Fraction(x) for x in row] for row in mat]
-        else:
-            a = [[x % char for x in row] for row in mat]
-        rows, cols = len(a), len(a[0])
-        r = 0
-        for col in range(cols):
-            piv = next((i for i in range(r, rows) if a[i][col] != 0), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = (
-                1 / a[r][col] if char == 0 else pow(a[r][col], -1, char)
-            )
-            a[r] = [x * inv if char == 0 else (x * inv) % char for x in a[r]]
-            for i in range(rows):
-                if i != r and a[i][col] != 0:
-                    factor = a[i][col]
-                    a[i] = [
-                        x - factor * y if char == 0 else (x - factor * y) % char
-                        for x, y in zip(a[i], a[r])
-                    ]
-            r += 1
-            if r == rows:
-                break
-        return r
-
-    dims = {}
-    for t in range(lo, hi + 1):
-        mat, cols = block_matrix(t)
-        prev, _ = block_matrix(t - 1)
-        dims[t] = cols - rank(mat, char) - rank(prev, char)
-    return {t: d for t, d in dims.items() if d}
-
-
-def expected_truncated_dims(nf, m):
-    dims = {}
-
-    def bump(t, amount):
-        if amount:
-            dims[t] = dims.get(t, 0) + amount
-
-    bump(0, m)
-    for a, _, cexp in nf.pieces:
-        bump(a, min(cexp, m))
-        bump(a + 1, min(cexp, m))
-    return dims
 
 
 class TestSplitSummands:
@@ -437,6 +309,3 @@ class TestSplitSummands:
             # the two parts together exhaust the tensor product
             assert graded_rank(parts[0]) + graded_rank(parts[1]) == graded_rank(t)
 
-
-def entry_multiset(c):
-    return sorted((v.gpow, abs(v.scalar)) for _, _, v in c.iter_entries())
