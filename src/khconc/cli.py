@@ -3,7 +3,8 @@
 Subcommands: kh, s, sz, stair, zeq, dist, validate.  Knots are given as PD
 codes ("PD[X(1,4,2,5),...]"), braid closures ("BR[2; 1,1,1]"), or paths to
 complex JSON files, so abstract complexes are first-class inputs.  Exit
-codes: 0 success, 1 input error, 2 resource cap exceeded.
+codes: 0 success, 1 input error (usage errors included), 2 resource cap
+exceeded.
 
 The quantum filtration behind the sz command is taken by support: level k
 holds the homology classes of cycles supported on generators of quantum
@@ -16,12 +17,20 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import NoReturn
 
 from . import complexes, invariants, khovanov, simplify, staircase, zeq
 
 
 class InputError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors (exit code 1)."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InputError(f"{self.prog}: {message}")
 
 
 def _load_complex(token: str, cap: int | None, basepoint: int | None) -> complexes.GradedComplex:
@@ -146,8 +155,9 @@ def _cmd_stair(args) -> int:
 def _cmd_zeq(args) -> int:
     c1 = _load_complex(args.a, args.cap, None)
     c2 = _load_complex(args.b, args.cap, None)
-    fwd = zeq.chain_map_lattice(c1, c2, 0)
-    bwd = zeq.chain_map_lattice(c2, c1, 0)
+    h1, h2 = invariants._h0_class_data(c1), invariants._h0_class_data(c2)
+    fwd = zeq._lattice(c1, c2, 0, h1, h2)
+    bwd = zeq._lattice(c2, c1, 0, h2, h1)
     verdict = fwd.image_gcd == 1 and bwd.image_gcd == 1
     print(f"Z-equivalent: {'yes' if verdict else 'no'}")
     print(f"lattice image forward: {fwd.image_gcd}Z, backward: {bwd.image_gcd}Z")
@@ -184,7 +194,7 @@ def _cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="khconc",
         description="Concordance invariants from universal Khovanov complexes over Z[G].",
     )
@@ -239,9 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except khovanov.ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

@@ -250,15 +250,6 @@ class ComplexBuilder:
         self.out[gid] = {}
         self.inc[gid] = {}
 
-    def remove_gen(self, gid: str) -> None:
-        for tgt in list(self.out[gid]):
-            del self.inc[tgt][gid]
-        for src in list(self.inc[gid]):
-            del self.out[src][gid]
-        del self.out[gid]
-        del self.inc[gid]
-        del self.gens[gid]
-
     def set_entry(self, src: str, tgt: str, val: GElem) -> None:
         if val.is_zero():
             self.out[src].pop(tgt, None)

@@ -12,11 +12,11 @@ and the tuple entries are the successive subgroup indices.
 Cancelling a unit entry is a homotopy equivalence over Z[G], so the
 invariant entry points (rasmussen_s, schuetz_sz, and z_iso_exists and
 distance_d in zeq) validate their input, then reduce it, and work on the
-reduced complex.  Validation comes first because cancelling can turn an
-invalid complex into a valid one.  The routines whose output names the
-input's generators or describes it as given (the field normal form, the
-homology profile, knot-likeness, the H_0 class data and zeq's chain-map
-lattice) work on the complex as given.
+reduced complex, and so does knotlike_check.  Validation comes first
+because cancelling can turn an invalid complex into a valid one.  The
+routines whose output names the input's generators or describes it as given
+(the field normal form, the homology profile, the H_0 class data and zeq's
+chain-map lattice) work on the complex as given.
 """
 
 from __future__ import annotations
@@ -67,10 +67,10 @@ def integer_homology_profile(complex: GradedComplex) -> dict[int, tuple[int, lis
 def knotlike_check(complex: GradedComplex) -> bool:
     """Axiomatic knot-likeness: H(C at G=1) is Z in degree 0 and 0 elsewhere.
 
-    Raises ValueError on a complex that fails validate.
+    Raises ValueError on a complex that fails validate.  Homology is a
+    homotopy invariant, so the profile is taken of the reduced complex.
     """
-    _require_valid(complex, "knot-likeness")
-    profile = integer_homology_profile(complex)
+    profile = integer_homology_profile(_reduced(complex, "knot-likeness"))
     for t, (free, torsion) in profile.items():
         if torsion:
             return False

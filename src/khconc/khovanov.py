@@ -2,10 +2,10 @@
 
 Input is a planar diagram code: crossings X(a, b, c, d) list the four arc
 labels counterclockwise starting from the incoming under-strand, so the
-under-strand runs a -> c and the over-strand occupies b and d.  Orientations
-are recovered by constraint propagation (each arc leaves one crossing slot
-and arrives at another); a crossing is positive when its over-strand runs
-b -> d.  Under that convention the code
+under-strand runs a -> c and the over-strand occupies b and d.  One walk
+along the knot, starting out of crossing 0's under-strand, fixes the
+orientation of every arc and the order of the arcs; a crossing is positive
+when its over-strand runs b -> d.  Under that convention the code
 PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)] is the right-handed trefoil.
 
 The complex is the cube of resolutions of the Frobenius algebra
@@ -69,7 +69,16 @@ class PDCode:
 def analyze_pd(
     crossings: list[tuple[int, int, int, int]], basepoint: int | None = None
 ) -> PDCode:
-    """Validate crossing data and recover orientations and the knot traversal."""
+    """Validate crossing data, orient the knot and list its arcs from the basepoint.
+
+    One walk fixes the orientation.  It leaves crossing 0 along its
+    under-strand and follows the arcs; a strand entering at slot a, b or d
+    leaves at c, d or b, and the over-strand's entry slot gives the sign.
+    The step from one entry slot to the next is injective, so within 2n + 1
+    steps the walk re-enters crossing 0 at a, or it enters a crossing at c or
+    crosses one over-strand twice and the diagram cannot be oriented.  A
+    walk that misses arcs has found a link.
+    """
     occurrences: dict[int, list[tuple[int, int]]] = {}
     for ci, cross in enumerate(crossings):
         if len(cross) != 4:
@@ -80,85 +89,35 @@ def analyze_pd(
         if len(occ) != 2:
             raise ValueError(f"arc {arc} appears {len(occ)} times, expected 2")
 
+    bp = basepoint if basepoint is not None else min(occurrences, default=0)
     if not crossings:
-        bp = basepoint if basepoint is not None else 0
         return PDCode(crossings=(), basepoint=bp, over_in_b=(), arc_order=(bp,))
-
-    # role[ci][slot] in {"in", "out"}; under slots are fixed, over slots are
-    # propagated until every crossing is oriented.
-    role: dict[tuple[int, int], str] = {}
-    for ci in range(len(crossings)):
-        role[(ci, 0)] = "in"
-        role[(ci, 2)] = "out"
-
-    def other_occurrence(arc: int, here: tuple[int, int]) -> tuple[int, int]:
-        a, b = occurrences[arc]
-        return b if a == here else a
-
-    pending = list(role.items())
-    while pending:
-        (ci, slot), what = pending.pop()
-        arc = crossings[ci][slot]
-        opp_ci, opp_slot = other_occurrence(arc, (ci, slot))
-        opp_what = "out" if what == "in" else "in"
-        key = (opp_ci, opp_slot)
-        if key in role:
-            if role[key] != opp_what:
-                raise ValueError(f"arc {arc} cannot be oriented consistently")
-            continue
-        role[key] = opp_what
-        pending.append((key, opp_what))
-        # fixing one over slot fixes the other
-        if opp_slot in (1, 3):
-            partner = (opp_ci, 4 - opp_slot)
-            partner_what = "out" if opp_what == "in" else "in"
-            if partner in role:
-                if role[partner] != partner_what:
-                    raise ValueError(
-                        f"crossing {crossings[opp_ci]!r} cannot be oriented consistently"
-                    )
-            else:
-                role[partner] = partner_what
-                pending.append((partner, partner_what))
-    for ci in range(len(crossings)):
-        if (ci, 1) not in role:
-            raise ValueError(f"crossing {crossings[ci]!r} left unoriented")
-
-    over_in_b = tuple(role[(ci, 1)] == "in" for ci in range(len(crossings)))
-
-    # knot traversal: follow each arc through the crossing it enters
-    exit_slot = {}
-    for ci, cross in enumerate(crossings):
-        exit_slot[(ci, 0)] = 2
-        exit_slot[(ci, 1)] = 3
-        exit_slot[(ci, 3)] = 1
-    all_arcs = sorted(occurrences)
-    bp = basepoint if basepoint is not None else all_arcs[0]
     if bp not in occurrences:
         raise ValueError(f"basepoint arc {bp} does not occur in the diagram")
-    order = [bp]
-    current = bp
+
+    over_in_b: list[bool | None] = [None] * len(crossings)
+    order: list[int] = []
+    ci, slot = 0, 2  # the exit slot of crossing 0's under-strand
     while True:
-        entry = next(
-            (ci, slot) for ci, slot in occurrences[current] if role[(ci, slot)] == "in"
-        )
-        ci, slot = entry
-        nxt = crossings[ci][exit_slot[(ci, slot)]]
-        if nxt == bp:
+        arc = crossings[ci][slot]
+        order.append(arc)
+        first, second = occurrences[arc]
+        ci, slot = second if first == (ci, slot) else first
+        if (ci, slot) == (0, 0):
             break
-        order.append(nxt)
-        current = nxt
-        if len(order) > len(all_arcs):
-            raise ValueError("traversal does not close up")
-    if len(order) != len(all_arcs):
-        raise ValueError(
-            f"knots only: diagram has {len(all_arcs)} arcs but one component of {len(order)}"
-        )
+        if slot == 2 or (slot and over_in_b[ci] is not None):
+            raise ValueError(f"crossing {crossings[ci]!r} cannot be oriented consistently")
+        if slot:
+            over_in_b[ci] = slot == 1
+        slot = (slot + 2) % 4
+    if len(order) != len(occurrences):
+        raise ValueError(f"knots only: diagram has {len(occurrences)} arcs but one component of {len(order)}")
+    start = order.index(bp)
     return PDCode(
         crossings=tuple(tuple(c) for c in crossings),
         basepoint=bp,
-        over_in_b=over_in_b,
-        arc_order=tuple(order),
+        over_in_b=tuple(over_in_b),
+        arc_order=tuple(order[start:] + order[:start]),
     )
 
 
@@ -250,45 +209,37 @@ def mirror_pd(pd: PDCode) -> PDCode:
     return analyze_pd(crossings, basepoint=pd.basepoint)
 
 
+def _arrival_slot(pd: PDCode, arc: int) -> tuple[int, int]:
+    """The crossing and slot where the arc arrives: a, or the over-strand's in slot."""
+    for ci, (cross, over_b) in enumerate(zip(pd.crossings, pd.over_in_b)):
+        for slot in (0, 1 if over_b else 3):
+            if cross[slot] == arc:
+                return ci, slot
+    raise InternalInvariantError(
+        "connected_sum_pd", f"arc {arc} has no arrival slot", crossings=len(pd.crossings)
+    )
+
+
 def connected_sum_pd(pd1: PDCode, pd2: PDCode) -> PDCode:
     """Splice the two diagrams along their basepoint arcs.
 
     Cutting the arcs P1 -> Q1 and P2 -> Q2 and rejoining as P1 -> Q2 and
-    P2 -> Q1 keeps one oriented circle and adds no crossings.
+    P2 -> Q1 keeps one oriented circle and adds no crossings.  The second
+    diagram's labels are shifted past the first's, which moves no slot.
     """
     if not pd1.crossings:
         return pd2
     if not pd2.crossings:
         return pd1
     offset = max(max(c) for c in pd1.crossings) + 1
-    shifted = [tuple(a + offset for a in cross) for cross in pd2.crossings]
-    info2 = analyze_pd(shifted, basepoint=pd2.basepoint + offset)
-    cut1, cut2 = pd1.basepoint, info2.basepoint
-
-    def is_in(pdinfo: PDCode, ci: int, slot: int) -> bool:
-        if slot == 0:
-            return True
-        if slot == 2:
-            return False
-        return (slot == 1) == pdinfo.over_in_b[ci]
-
-    def arrival_slot(pdinfo: PDCode, arc: int):
-        for ci, cross in enumerate(pdinfo.crossings):
-            for slot, label in enumerate(cross):
-                if label == arc and is_in(pdinfo, ci, slot):
-                    return ci, slot
-        raise InternalInvariantError(
-            "connected_sum_pd", f"arc {arc} has no arrival slot", crossings=len(pdinfo.crossings)
-        )
-
+    cut1, cut2 = pd1.basepoint, pd2.basepoint + offset
     crossings1 = [list(c) for c in pd1.crossings]
-    crossings2 = [list(c) for c in info2.crossings]
-    ci, slot = arrival_slot(pd1, cut1)
+    crossings2 = [[a + offset for a in c] for c in pd2.crossings]
+    ci, slot = _arrival_slot(pd1, cut1)
     crossings1[ci][slot] = cut2
-    ci2, slot2 = arrival_slot(info2, cut2)
-    crossings2[ci2][slot2] = cut1
-    merged = [tuple(c) for c in crossings1] + [tuple(c) for c in crossings2]
-    return analyze_pd(merged, basepoint=cut1)
+    ci, slot = _arrival_slot(pd2, pd2.basepoint)
+    crossings2[ci][slot] = cut1
+    return analyze_pd([tuple(c) for c in crossings1 + crossings2], basepoint=cut1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from fractions import Fraction
 from khconc import GElem, Generator, GradedComplex, direct_sum, generator_cycle, unit_complex
 from khconc import intmat
 from khconc.invariants import g1_matrix, tuple_from_filtration
+from khconc.khovanov import PDCode
 
 
 def acyclic_square(q=0, t=0, tag="sq", scal=1):
@@ -59,8 +60,12 @@ def reference_reduce(c):
         for a, ca in rows:
             for z, dz in cols:
                 b.add_entry(a, z, GElem(-unit.scalar * ca.scalar * dz.scalar, ca.gpow + dz.gpow))
-        b.remove_gen(src)
-        b.remove_gen(tgt)
+        for gid in (src, tgt):
+            for z in b.out.pop(gid):
+                del b.inc[z][gid]
+            for a in b.inc.pop(gid):
+                del b.out[a][gid]
+            del b.gens[gid]
         for a, _ in rows:
             for z, v in b.out[a].items():
                 if v.is_unit():
@@ -319,3 +324,173 @@ def double_pd(pd, clasp="A"):
         crossings.append((nu, mu, alpha_out, alpha))
         crossings.append((mu, nu, gamma_out, gamma))
     return analyze_pd(crossings, basepoint=alpha)
+
+
+# ---------------------------------------------------------------------------
+# diagrams: the propagation-based orientation and knot-level closed forms
+
+
+def reference_analyze_pd(crossings, basepoint=None):
+    """analyze_pd by constraint propagation, then a traversal from the basepoint.
+
+    Under slots are fixed (a in, c out); in/out roles spread across arcs and
+    over-strands until every slot has one, and a second pass walks the knot.
+    """
+    occurrences = {}
+    for ci, cross in enumerate(crossings):
+        if len(cross) != 4:
+            raise ValueError(f"crossing {cross!r} does not have 4 arcs")
+        for slot, arc in enumerate(cross):
+            occurrences.setdefault(arc, []).append((ci, slot))
+    for arc, occ in occurrences.items():
+        if len(occ) != 2:
+            raise ValueError(f"arc {arc} appears {len(occ)} times, expected 2")
+
+    if not crossings:
+        bp = basepoint if basepoint is not None else 0
+        return PDCode(crossings=(), basepoint=bp, over_in_b=(), arc_order=(bp,))
+
+    # role[ci][slot] in {"in", "out"}; under slots are fixed, over slots are
+    # propagated until every crossing is oriented.
+    role = {}
+    for ci in range(len(crossings)):
+        role[(ci, 0)] = "in"
+        role[(ci, 2)] = "out"
+
+    def other_occurrence(arc: int, here: tuple[int, int]) -> tuple[int, int]:
+        a, b = occurrences[arc]
+        return b if a == here else a
+
+    pending = list(role.items())
+    while pending:
+        (ci, slot), what = pending.pop()
+        arc = crossings[ci][slot]
+        opp_ci, opp_slot = other_occurrence(arc, (ci, slot))
+        opp_what = "out" if what == "in" else "in"
+        key = (opp_ci, opp_slot)
+        if key in role:
+            if role[key] != opp_what:
+                raise ValueError(f"arc {arc} cannot be oriented consistently")
+            continue
+        role[key] = opp_what
+        pending.append((key, opp_what))
+        # fixing one over slot fixes the other
+        if opp_slot in (1, 3):
+            partner = (opp_ci, 4 - opp_slot)
+            partner_what = "out" if opp_what == "in" else "in"
+            if partner in role:
+                if role[partner] != partner_what:
+                    raise ValueError(
+                        f"crossing {crossings[opp_ci]!r} cannot be oriented consistently"
+                    )
+            else:
+                role[partner] = partner_what
+                pending.append((partner, partner_what))
+    for ci in range(len(crossings)):
+        if (ci, 1) not in role:
+            raise ValueError(f"crossing {crossings[ci]!r} left unoriented")
+
+    over_in_b = tuple(role[(ci, 1)] == "in" for ci in range(len(crossings)))
+
+    # knot traversal: follow each arc through the crossing it enters
+    exit_slot = {}
+    for ci, cross in enumerate(crossings):
+        exit_slot[(ci, 0)] = 2
+        exit_slot[(ci, 1)] = 3
+        exit_slot[(ci, 3)] = 1
+    all_arcs = sorted(occurrences)
+    bp = basepoint if basepoint is not None else all_arcs[0]
+    if bp not in occurrences:
+        raise ValueError(f"basepoint arc {bp} does not occur in the diagram")
+    order = [bp]
+    current = bp
+    while True:
+        entry = next(
+            (ci, slot) for ci, slot in occurrences[current] if role[(ci, slot)] == "in"
+        )
+        ci, slot = entry
+        nxt = crossings[ci][exit_slot[(ci, slot)]]
+        if nxt == bp:
+            break
+        order.append(nxt)
+        current = nxt
+        if len(order) > len(all_arcs):
+            raise ValueError("traversal does not close up")
+    if len(order) != len(all_arcs):
+        raise ValueError(
+            f"knots only: diagram has {len(all_arcs)} arcs but one component of {len(order)}"
+        )
+    return PDCode(
+        crossings=tuple(tuple(c) for c in crossings),
+        basepoint=bp,
+        over_in_b=over_in_b,
+        arc_order=tuple(order),
+    )
+
+
+def braid_closure_crossings(strands, word):
+    """Crossing tuples of the closure of a braid word, for any number of components.
+
+    The crossing conventions are those of BR[...] input: for letter i > 0 the
+    strand entering at position i + 1 passes under to position i.
+    """
+    current = list(range(1, strands + 1))
+    initial = list(current)
+    next_arc = strands + 1
+    crossings = []
+    for letter in word:
+        i = abs(letter) - 1
+        left, right = current[i], current[i + 1]
+        out_left, out_right = next_arc, next_arc + 1
+        next_arc += 2
+        if letter > 0:
+            crossings.append((right, left, out_left, out_right))
+        else:
+            crossings.append((left, out_left, out_right, right))
+        current[i], current[i + 1] = out_left, out_right
+    relabel = dict(zip(current, initial))
+    return [tuple(relabel.get(a, a) for a in cross) for cross in crossings]
+
+
+def braid_is_knot(strands, word):
+    """Does the braid closure have one component?"""
+    perm = list(range(strands))
+    for letter in word:
+        i = abs(letter) - 1
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    seen, cursor = {0}, perm[0]
+    while cursor != 0:
+        seen.add(cursor)
+        cursor = perm[cursor]
+    return len(seen) == strands
+
+
+def resolution_circles(pd, vertex):
+    """Circles of a resolution: bit i of vertex set joins (a, b) and (c, d) at crossing i, else (a, d) and (b, c)."""
+    parent = {}
+
+    def root(a):
+        parent.setdefault(a, a)
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for ci, (a, b, c, d) in enumerate(pd.crossings):
+        pairs = ((a, b), (c, d)) if (vertex >> ci) & 1 else ((a, d), (b, c))
+        for x, y in pairs:
+            parent[root(x)] = root(y)
+    return len({root(a) for a in parent}) if parent else 1
+
+
+def positive_diagram_s(pd):
+    """s_c = 1 + c - k on a positive diagram, k its Seifert circles (Rasmussen 2010)."""
+    assert all(pd.over_in_b), "diagram is not positive"
+    return 1 + len(pd.crossings) - resolution_circles(pd, 0)
+
+
+def alternating_diagram_s0(pd):
+    """s_0 = -sigma on a reduced alternating diagram, sigma = s_A - n+ - 1 (Traczyk 2004).
+
+    s_A counts the circles of the all-A resolution, which is the all-0 vertex.
+    """
+    return -(resolution_circles(pd, 0) - pd.n_plus - 1)

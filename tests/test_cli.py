@@ -241,3 +241,71 @@ def test_fuzzed_complex_file_exits_cleanly(tmp_path_factory, data):
     for command in ("s", "validate"):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main([command, str(path)]) in (0, 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["s", "--cap", "abc", "PD[]"], ["zeq"], ["nosuch"], [], ["s", "PD[]", "--bogus"]],
+    ids=["bad-int", "missing-args", "unknown-command", "no-command", "unknown-option"],
+)
+def test_usage_error_is_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: khconc") and out == ""
+    assert "Traceback" not in err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["s", "--help"])
+    assert exc.value.code == 0
+    assert "--char" in capsys.readouterr().out
+
+
+def test_zeq_computes_h0_data_once_per_complex(tmp_path, capsys, monkeypatch):
+    from khconc import invariants, zeq
+
+    ranks = []
+    real = invariants._h0_class_data
+
+    def counting(c):
+        ranks.append(c.total_rank)
+        return real(c)
+
+    monkeypatch.setattr(invariants, "_h0_class_data", counting)
+    monkeypatch.setattr(zeq, "_h0_class_data", counting)
+    a = tmp_path / "a.json"
+    a.write_text(to_json(build_ck(1)))
+    code, out, _ = run(capsys, "zeq", str(a), RIGHT_TREFOIL)
+    assert code == 0 and "Z-equivalent: no" in out
+    assert len(ranks) == 2
+
+
+PD_TEXT = st.lists(st.tuples(*[st.integers(-1, 9)] * 4), max_size=5).map(
+    lambda cs: "PD[" + ",".join("X(%d,%d,%d,%d)" % c for c in cs) + "]"
+)
+BR_TEXT = st.builds(
+    "BR[{}; {}]".format,
+    st.integers(-1, 5),
+    st.lists(st.integers(-5, 5), max_size=7).map(lambda w: ",".join(map(str, w))),
+)
+DIAGRAM_TEXT = st.one_of(PD_TEXT, BR_TEXT, st.text(alphabet="PDBRX[](),; 0123456789-", max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["s", "sz", "kh"]),
+    text=DIAGRAM_TEXT,
+    basepoint=st.one_of(st.none(), st.integers(-2, 12)),
+    cap=st.one_of(st.none(), st.integers(-1, 8)),
+)
+def test_fuzzed_diagram_exits_cleanly(command, text, basepoint, cap):
+    argv = [command, text]
+    if basepoint is not None:
+        argv += ["--basepoint", str(basepoint)]
+    if cap is not None:
+        argv += ["--cap", str(cap)]
+    if command == "s":
+        argv += ["--char", "0,2,3"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2)

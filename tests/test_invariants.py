@@ -21,7 +21,9 @@ from khconc import (
     unit_complex,
     z_iso_exists,
 )
-from khconc.invariants import tuple_from_filtration
+from khconc import invariants, parse_braid, reduce
+from khconc.invariants import integer_homology_profile, tuple_from_filtration
+from khconc.khovanov import _build
 
 import support
 
@@ -56,6 +58,33 @@ class TestKnotlike:
 
     def test_wrong_degree_not_knotlike(self):
         assert not knotlike_check(shift(unit_complex(), 1, 0))
+
+    def test_verdict_is_that_of_the_complex_as_given(self, monkeypatch):
+        """Reducing first changes no verdict, and the profile sees only the reduced rank."""
+
+        def as_given(c):
+            profile = integer_homology_profile(c)
+            return profile.get(0) == (1, []) and all(p == (0, []) for t, p in profile.items() if t)
+
+        rng = random.Random(12)
+        cases = [_build(parse_braid(w), stream=False) for w in ("BR[2; 1,1,1]", "BR[3; 1,-2,1,-2]")]
+        cases += [support.torsion_h0(), direct_sum(build_ck(1), shift(unit_complex(), 1, 0))]
+        for _ in range(12):
+            a, b = support.random_knotlike(rng), support.scramble(support.random_knotlike(rng), rng)
+            cases += [tensor(a, b), direct_sum(a, b), support.scramble(tensor(a, dual(b)), rng)]
+        ranks = []
+
+        def recording(c):
+            ranks.append(c.total_rank)
+            return integer_homology_profile(c)
+
+        monkeypatch.setattr(invariants, "integer_homology_profile", recording)
+        for c in cases:
+            ranks.clear()
+            verdict = knotlike_check(c)
+            assert verdict == as_given(c) == knotlike_check(reduce(c))
+            assert ranks[0] == reduce(c).total_rank
+        assert {knotlike_check(c) for c in cases} == {True, False}
 
 
 class TestRasmussen:
