@@ -33,6 +33,20 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+def _parse_diagram(token: str, basepoint: int | None) -> khovanov.PDCode | None:
+    """The diagram of a PD or BR code with the basepoint given, or None for
+    other text.  A braid's own basepoint is its first strand's initial arc."""
+    upper = token.upper()
+    if upper.startswith("PD"):
+        return khovanov.parse_pd(token, basepoint=basepoint)
+    if not upper.startswith("BR"):
+        return None
+    pd = khovanov.parse_braid(token)
+    if basepoint is None:
+        return pd
+    return khovanov.analyze_pd(list(pd.crossings), basepoint=basepoint)
+
+
 def _load_complex(token: str, cap: int | None, basepoint: int | None) -> complexes.GradedComplex:
     """The reduced complex of a PD/BR code or of a complex JSON file.
 
@@ -42,12 +56,8 @@ def _load_complex(token: str, cap: int | None, basepoint: int | None) -> complex
     complex; the chain-map lattice behind zeq works on the complex as given.
     """
     stripped = token.strip()
-    upper = stripped.upper()
-    if upper.startswith("PD"):
-        pd = khovanov.parse_pd(stripped, basepoint=basepoint)
-        return simplify.reduce(khovanov.build_complex(pd, cap=cap))
-    if upper.startswith("BR"):
-        pd = khovanov.parse_braid(stripped)
+    pd = _parse_diagram(stripped, basepoint)
+    if pd is not None:
         return simplify.reduce(khovanov.build_complex(pd, cap=cap))
     if os.path.exists(stripped):
         with open(stripped, "r", encoding="utf-8") as fh:
@@ -106,11 +116,8 @@ def _pretty_grid(c: complexes.GradedComplex) -> str:
 
 def _cmd_kh(args) -> int:
     pd_token = args.input.strip()
-    if pd_token.upper().startswith("PD"):
-        pd = khovanov.parse_pd(pd_token, basepoint=args.basepoint)
-    elif pd_token.upper().startswith("BR"):
-        pd = khovanov.parse_braid(pd_token)
-    else:
+    pd = _parse_diagram(pd_token, args.basepoint)
+    if pd is None:
         raise InputError(f"kh needs a PD or BR code, got {pd_token!r}")
     c = simplify.reduce(khovanov.build_complex(pd, cap=args.cap))
     if args.json:

@@ -9,9 +9,10 @@ and the differential must have tq-degree (1, 0), so c = (b - a) / 2.
 
 Complexes are immutable once constructed; all algebra below (shift, dual,
 sum, tensor) returns fresh values.  ComplexBuilder is the GElem-valued
-staging API for code that edits a complex entry by entry.  Cube emission
-and unit cancellation do not use it: they run on plain int scalars with the
-G-powers implied by the degrees, in a private store in simplify.
+staging API for code that edits a complex entry by entry.  Cube emission,
+unit cancellation and summand splitting do not use it: they run on plain
+int scalars with the G-powers implied by the degrees, in a private store in
+simplify.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ class LaurentBiPoly:
 class GradedComplex:
     """Immutable bigraded complex; see the module docstring for conventions."""
 
-    __slots__ = ("_gens", "_out", "_in")
+    __slots__ = ("_gens", "_out")
 
     def __init__(
         self,
@@ -156,17 +157,13 @@ class GradedComplex:
                 raise ValueError(f"duplicate generator id {g.id!r}")
             gens[g.id] = g
         out: dict[str, dict[str, GElem]] = {gid: {} for gid in gens}
-        inc: dict[str, dict[str, GElem]] = {gid: {} for gid in gens}
         for (src, tgt), val in entries.items():
             if src not in gens or tgt not in gens:
                 raise ValueError(f"entry {src!r}->{tgt!r} references unknown generator")
-            if val.is_zero():
-                continue
-            out[src][tgt] = val
-            inc[tgt][src] = val
+            if not val.is_zero():
+                out[src][tgt] = val
         self._gens = gens
         self._out = out
-        self._in = inc
 
     @property
     def generators(self) -> tuple[Generator, ...]:
@@ -184,9 +181,6 @@ class GradedComplex:
     def out_of(self, gid: str) -> Mapping[str, GElem]:
         return self._out[gid]
 
-    def into(self, gid: str) -> Mapping[str, GElem]:
-        return self._in[gid]
-
     def entry(self, src: str, tgt: str) -> GElem:
         return self._out[src].get(tgt, GElem(0))
 
@@ -198,9 +192,6 @@ class GradedComplex:
     @property
     def total_rank(self) -> int:
         return len(self._gens)
-
-    def gens_at(self, tdeg: int) -> list[Generator]:
-        return [g for g in self._gens.values() if g.tdeg == tdeg]
 
     def tdeg_range(self) -> tuple[int, int]:
         if not self._gens:
@@ -234,8 +225,8 @@ class GradedComplex:
 class ComplexBuilder:
     """Mutable staging area for a GradedComplex, confined to one thread.
 
-    Entries are GElem values, as in GradedComplex; split_summands and
-    callers that edit a complex entry by entry use it.
+    Entries are GElem values, as in GradedComplex.  Its remaining users
+    are GradedComplex.builder(), the benchmark's shear and the test oracles.
     """
 
     def __init__(self):

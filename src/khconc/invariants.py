@@ -16,7 +16,9 @@ reduced complex, and so does knotlike_check.  Validation comes first
 because cancelling can turn an invalid complex into a valid one.  The
 routines whose output names the input's generators or describes it as given
 (the field normal form, the homology profile, the H_0 class data and zeq's
-chain-map lattice) work on the complex as given.
+chain-map lattice) work on the complex as given.  Each public entry point
+validates its input once; the H_0 class data, which several of them share,
+assumes input that has passed validate.
 """
 
 from __future__ import annotations
@@ -67,10 +69,16 @@ def integer_homology_profile(complex: GradedComplex) -> dict[int, tuple[int, lis
 def knotlike_check(complex: GradedComplex) -> bool:
     """Axiomatic knot-likeness: H(C at G=1) is Z in degree 0 and 0 elsewhere.
 
-    Raises ValueError on a complex that fails validate.  Homology is a
-    homotopy invariant, so the profile is taken of the reduced complex.
+    Raises ValueError on a complex that fails validate.
     """
-    profile = integer_homology_profile(_reduced(complex, "knot-likeness"))
+    _require_valid(complex, "knot-likeness")
+    return _knotlike(complex)
+
+
+def _knotlike(complex: GradedComplex) -> bool:
+    """knotlike_check of a complex that passed validate.  Homology is a
+    homotopy invariant, so the profile is taken of the reduced complex."""
+    profile = integer_homology_profile(reduce(complex))
     for t, (free, torsion) in profile.items():
         if torsion:
             return False
@@ -126,18 +134,22 @@ def tuple_from_filtration(m_by_k: dict[int, int]) -> SZTuple:
     return SZTuple(k0=k0, ks=tuple(ks))
 
 
-def _h0_class_data(complex: GradedComplex) -> tuple[list[str], list[int], list[int]]:
-    """The t = 0 ids, a class covector phi and a generator cycle z of H_0(C at G=1).
+def _h0_class_data(
+    complex: GradedComplex,
+) -> tuple[list[str], list[int], list[int], list[list[int]]]:
+    """The t = 0 ids, a class covector phi and a generator cycle z of
+    H_0(C at G=1), and the degree-0 matrix of g1_matrix they are read from.
 
-    The complex must pass validate and be knot-like, so H_0 is Z; otherwise
-    this raises ValueError or NotKnotLikeError.  With the rows of K a basis
-    of the cycles, boundaries have coordinates in that basis, and the one
-    covector psi on those coordinates that kills them all is the class map
-    Z^k -> H_0 = Z.  Since the cycles are a saturated lattice, phi with
-    K phi = psi is integral: phi kills every boundary and phi . v is the
-    class of any cycle v.  z = x K for an x with psi . x = 1, so phi . z = 1.
+    The complex must have passed validate, which is not repeated here, and
+    be knot-like, so H_0 is Z; otherwise this raises NotKnotLikeError.  With
+    the rows of K a basis of the cycles, boundaries have coordinates in that
+    basis, and the one covector psi on those coordinates that kills them all
+    is the class map Z^k -> H_0 = Z.  Since the cycles are a saturated
+    lattice, phi with K phi = psi is integral: phi kills every boundary and
+    phi . v is the class of any cycle v.  z = x K for an x with psi . x = 1,
+    so phi . z = 1.
     """
-    if not knotlike_check(complex):
+    if not _knotlike(complex):
         raise NotKnotLikeError(
             f"H_0 class data: complex of rank {complex.total_rank} is not knot-like "
             "(H(C at G=1) is not Z in degree 0 alone)"
@@ -156,7 +168,7 @@ def _h0_class_data(complex: GradedComplex) -> tuple[list[str], list[int], list[i
     x = intmat.solve([psi], [1])
     z = intmat.matvec(kmat, x)
     phi = intmat.solve(kernel, psi)
-    return srcs, phi, z
+    return srcs, phi, z, d0
 
 
 def schuetz_sz(complex: GradedComplex) -> SZTuple:
@@ -166,9 +178,8 @@ def schuetz_sz(complex: GradedComplex) -> SZTuple:
     generators of quantum degree >= k.
     """
     complex = _reduced(complex, "schuetz_sz")
-    srcs, phi, _ = _h0_class_data(complex)
+    srcs, phi, _, d0 = _h0_class_data(complex)
     qdegs = [complex.gen(gid).qdeg for gid in srcs]
-    d0, _, _ = g1_matrix(complex, 0)
     m_by_k: dict[int, int] = {}
     for k in range(max(qdegs), min(qdegs) - 2, -2):
         keep = [j for j, q in enumerate(qdegs) if q >= k]

@@ -12,6 +12,8 @@ Three layers of simplification, in increasing strength:
     by a deterministic divisibility-driven change of basis that zeroes
     entries when a parallel entry divides them.  Basis changes are
     isomorphisms, so the direct sum of the parts is isomorphic to the input.
+    It runs on the same int-scalar store, so its input needs homogeneous
+    entries, and a rejected trial move is undone by its inverse move.
   * field_normal_form: over a field F the complex tensored with F[G]
     decomposes into a single free rank-one summand, two-generator pieces
     F[G] --G^c--> F[G] with c > 0, and an acyclic remainder.  Computed by
@@ -27,7 +29,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import ComplexBuilder, GElem, Generator, GradedComplex, _require_valid
+from .complexes import GElem, Generator, GradedComplex, _require_valid
 
 
 class NotKnotLikeError(ValueError):
@@ -35,7 +37,8 @@ class NotKnotLikeError(ValueError):
 
 
 class _Store:
-    """The mutable complex behind cube emission and unit cancellation.
+    """The mutable complex behind cube emission, unit cancellation and
+    summand splitting.
 
     Generators map to their (t, q) degrees and entries to plain int scalars:
     homogeneity fixes the G-power of an entry x -> y as (q_y - q_x)/2, so a
@@ -173,103 +176,65 @@ def reduce(complex: GradedComplex) -> GradedComplex:
 # summand splitting
 
 
-def _divides(p: GElem, q: GElem) -> bool:
-    return p.gpow <= q.gpow and q.scalar % p.scalar == 0
+def _clear(out, inc, y: str, y2: str, f: int) -> None:
+    """Subtract f times column y from column y2 and add f times row y2 to row y.
+
+    This conjugates the differential by an elementary matrix: the change of
+    basis y := y + f*y2.  Called again with -f it is undone exactly.  With
+    out and inc swapped it acts on the transpose, as y2 := y2 - f*y.
+    """
+    for a, v in list(inc[y].items()):
+        _add(out, inc, a, y2, -f * v)
+    for z, v in list(out[y2].items()):
+        _add(out, inc, y, z, f * v)
 
 
-def _monomial_quot(q: GElem, p: GElem) -> GElem:
-    return GElem(q.scalar // p.scalar, q.gpow - p.gpow)
+def _add(out, inc, a: str, z: str, v: int) -> None:
+    v += out[a].get(z, 0)
+    if v:
+        out[a][z] = inc[z][a] = v
+    else:
+        del out[a][z], inc[z][a]
 
 
-def _potential(b: ComplexBuilder) -> tuple[int, int]:
-    count = 0
-    gsum = 0
-    for row in b.out.values():
-        count += len(row)
-        gsum += sum(v.gpow for v in row.values())
-    return count, gsum
+def _potential(store: _Store) -> tuple[int, int]:
+    deg = store.deg
+    rows = store.out.items()
+    return sum(len(row) for _, row in rows), sum(deg[z][1] - deg[a][1] for a, row in rows for z in row)
 
 
-def _apply_row_move(b: ComplexBuilder, x: str, y: str, y2: str) -> None:
-    # pivot x->y clears x->y2; basis change y := y + (q/p) * y2
-    f = _monomial_quot(b.entry(x, y2), b.entry(x, y))
-    for u, g in list(b.inc[y].items()):
-        if u != x:
-            b.add_entry(u, y2, GElem(-f.scalar * g.scalar, f.gpow + g.gpow))
-    for z, g in list(b.out[y2].items()):
-        b.add_entry(y, z, GElem(f.scalar * g.scalar, f.gpow + g.gpow))
-    b.set_entry(x, y2, GElem(0))
-
-
-def _apply_col_move(b: ComplexBuilder, x: str, y: str, x2: str) -> None:
-    # pivot x->y clears x2->y; basis change x2 := x2 - (q/p) * x
-    f = _monomial_quot(b.entry(x2, y), b.entry(x, y))
-    for z, g in list(b.out[x].items()):
-        if z != y:
-            b.add_entry(x2, z, GElem(-f.scalar * g.scalar, f.gpow + g.gpow))
-    for u, g in list(b.inc[x2].items()):
-        b.add_entry(u, x, GElem(f.scalar * g.scalar, f.gpow + g.gpow))
-    b.set_entry(x2, y, GElem(0))
-
-
-def _sparsify(b: ComplexBuilder) -> None:
+def _sparsify(store: _Store) -> None:
     """Greedy divisibility elimination under a strictly decreasing potential.
 
-    A move replaces one basis vector by itself plus a monomial multiple of a
-    parallel one, which zeroes the cleared entry.  Moves are attempted in a
-    fixed order and committed only if (entry count, total G-power) drops
-    lexicographically, so the loop terminates and is deterministic.
+    An entry p of a row (or column) divides a parallel entry q when p | q
+    as integers and p's G-power, read off the degrees, is at most q's;
+    _clear with f = q/p then zeroes q.  Moves are tried in a fixed order
+    (generators by (tdeg, id), each one's row, then its column, in sorted
+    keys) and the first that makes (entry count, total G-power) drop
+    lexicographically is kept; the others are undone.  The potential
+    strictly drops, so the loop terminates, and it is deterministic.
     """
+    deg, out, inc = store.deg, store.out, store.inc
     while True:
-        pot = _potential(b)
-        candidates: list[tuple[str, str, str, str]] = []
-        for x in sorted(b.gens, key=lambda g: (b.gens[g].tdeg, g)):
-            row = b.out[x]
-            if len(row) >= 2:
+        pot = _potential(store)
+        moves = []
+        for x in sorted(deg, key=lambda g: (deg[g][0], g)):
+            qx = deg[x][1]
+            for o, i in ((out, inc), (inc, out)):
+                row = o[x]
                 keys = sorted(row)
                 for y in keys:
                     for y2 in keys:
-                        if y != y2 and _divides(row[y], row[y2]):
-                            candidates.append(("row", x, y, y2))
-            col = b.inc[x]
-            if len(col) >= 2:
-                keys = sorted(col)
-                for s in keys:
-                    for s2 in keys:
-                        if s != s2 and _divides(col[s], col[s2]):
-                            candidates.append(("col", s, x, s2))
-        committed = False
-        for kind, a1, a2, a3 in candidates:
-            if kind == "row":
-                p, q = b.entry(a1, a2), b.entry(a1, a3)
-            else:
-                p, q = b.entry(a1, a2), b.entry(a3, a2)
-            if p.is_zero() or q.is_zero() or not _divides(p, q):
-                continue
-            trial = _snapshot(b)
-            if kind == "row":
-                _apply_row_move(b, a1, a2, a3)
-            else:
-                _apply_col_move(b, a1, a2, a3)
-            if _potential(b) < pot:
-                committed = True
+                        p, q = row[y], row[y2]
+                        if y != y2 and q % p == 0 and abs(deg[y][1] - qx) <= abs(deg[y2][1] - qx):
+                            moves.append((o, i, y, y2, q // p))
+        for o, i, y, y2, f in moves:
+            _clear(o, i, y, y2, f)
+            if _potential(store) < pot:
                 break
-            _restore(b, trial)
-        if not committed:
+            _clear(o, i, y, y2, -f)
+        else:
             return
-
-
-def _snapshot(b: ComplexBuilder):
-    return (
-        {s: dict(row) for s, row in b.out.items()},
-        {t: dict(col) for t, col in b.inc.items()},
-    )
-
-
-def _restore(b: ComplexBuilder, snap) -> None:
-    out, inc = snap
-    b.out = {s: dict(row) for s, row in out.items()}
-    b.inc = {t: dict(col) for t, col in inc.items()}
 
 
 def split_summands(complex: GradedComplex) -> list[GradedComplex]:
@@ -277,13 +242,14 @@ def split_summands(complex: GradedComplex) -> list[GradedComplex]:
 
     A divisibility-driven basis change runs first so that products which are
     isomorphic to a direct sum actually fall apart; the direct sum of the
-    returned complexes is isomorphic to the input.
+    returned complexes is isomorphic to the input.  The basis change runs on
+    int scalars with G-powers read off the degrees, so an entry whose
+    G-power its degrees do not force raises ValueError.
     """
-    if complex.total_rank == 0:
-        return []
-    b = complex.builder()
-    _sparsify(b)
-    parent = {gid: gid for gid in b.gens}
+    store = _Store.load(complex, "split_summands")
+    _sparsify(store)
+    frozen = store.freeze()
+    parent = {gid: gid for gid in store.deg}
 
     def find(a: str) -> str:
         while parent[a] != a:
@@ -291,25 +257,16 @@ def split_summands(complex: GradedComplex) -> list[GradedComplex]:
             a = parent[a]
         return a
 
-    def union(a: str, c: str) -> None:
-        ra, rc = find(a), find(c)
-        if ra != rc:
-            parent[rc] = ra
-
-    for src, row in b.out.items():
+    for src, row in store.out.items():
         for tgt in row:
-            union(src, tgt)
-    comps: dict[str, list[str]] = {}
-    for gid in b.gens:
-        comps.setdefault(find(gid), []).append(gid)
-    parts = []
-    for members in comps.values():
-        mset = set(members)
-        gens = [b.gens[g] for g in b.gens if g in mset]
-        entries = {
-            (s, t): v for s in members for t, v in b.out[s].items() if t in mset
-        }
-        parts.append(GradedComplex(gens, entries))
+            parent[find(tgt)] = find(src)
+    comps: dict[str, list[Generator]] = {}
+    for g in frozen.generators:
+        comps.setdefault(find(g.id), []).append(g)
+    parts = [
+        GradedComplex(gens, {(g.id, t): v for g in gens for t, v in frozen.out_of(g.id).items()})
+        for gens in comps.values()
+    ]
     parts.sort(key=lambda c: min((g.tdeg, g.qdeg, g.id) for g in c.generators))
     return parts
 

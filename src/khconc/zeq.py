@@ -17,16 +17,18 @@ import math
 from dataclasses import dataclass
 
 from . import intmat
-from .complexes import GElem, GradedComplex, InternalInvariantError, tensor, dual
+from .complexes import GElem, GradedComplex, InternalInvariantError, _require_valid, tensor, dual
 from .invariants import _h0_class_data, _reduced
 
-# (t = 0 ids, class covector, generator cycle), as _h0_class_data returns it
-_H0Data = tuple[list[str], list[int], list[int]]
+# (t = 0 ids, class covector, generator cycle, degree-0 matrix at G = 1),
+# as _h0_class_data returns it
+_H0Data = tuple[list[str], list[int], list[int], list[list[int]]]
 
 
 def generator_cycle(complex: GradedComplex) -> dict[str, int]:
     """An integer cycle at G = 1 whose class generates H_0; deterministic."""
-    srcs, _, z = _h0_class_data(complex)
+    _require_valid(complex, "generator_cycle")
+    srcs, _, z, _ = _h0_class_data(complex)
     return {gid: coeff for gid, coeff in zip(srcs, z) if coeff}
 
 
@@ -68,7 +70,12 @@ def admissible_pairs(
 def chain_map_lattice(
     source: GradedComplex, target: GradedComplex, qdegree: int
 ) -> ChainMapLattice:
-    """Solve f d = d f exactly over Z and compute the H_0 functional."""
+    """Solve f d = d f exactly over Z and compute the H_0 functional.
+
+    Both complexes are validated, and used as given.
+    """
+    _require_valid(source, "chain_map_lattice")
+    _require_valid(target, "chain_map_lattice")
     return _lattice(source, target, qdegree, _h0_class_data(source), _h0_class_data(target))
 
 
@@ -76,8 +83,8 @@ def _lattice(
     source: GradedComplex, target: GradedComplex, qdegree: int, src_h0: _H0Data, tgt_h0: _H0Data
 ) -> ChainMapLattice:
     """chain_map_lattice given both complexes' _h0_class_data."""
-    ssrcs, _, cycle = src_h0
-    tsrcs, phi, _ = tgt_h0
+    ssrcs, _, cycle, _ = src_h0
+    tsrcs, phi, _, _ = tgt_h0
     triples = admissible_pairs(source, target, qdegree)
     pairs = [(x, y) for x, y, _ in triples]
     index = {pair: i for i, pair in enumerate(pairs)}
@@ -123,7 +130,8 @@ def z_iso_exists(source: GradedComplex, target: GradedComplex, qdegree: int) -> 
     Both complexes are validated, then reduced.
     """
     source, target = _reduced(source, "z_iso_exists"), _reduced(target, "z_iso_exists")
-    return chain_map_lattice(source, target, qdegree).image_gcd == 1
+    lattice = _lattice(source, target, qdegree, _h0_class_data(source), _h0_class_data(target))
+    return lattice.image_gcd == 1
 
 
 def z_equivalent(c1: GradedComplex, c2: GradedComplex) -> bool:

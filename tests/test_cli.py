@@ -32,6 +32,23 @@ def test_s_rejects_composite_char(capsys):
     assert "characteristic" in err
 
 
+@pytest.mark.parametrize("command", ["s", "sz", "kh"])
+@pytest.mark.parametrize("knot", [RIGHT_TREFOIL, "BR[2; 1,1,1]"])
+def test_basepoint_not_in_diagram_is_exit_one(capsys, command, knot):
+    code, _, err = run(capsys, command, knot, "--basepoint", "99")
+    assert code == 1
+    assert "does not occur in the diagram" in err
+
+
+def test_braid_basepoint_keeps_s(capsys):
+    braid = "BR[3; 1,1,1,2,-1,2]"
+    _, expected, _ = run(capsys, "s", braid, "--char", "0,2,3")
+    assert expected.strip() == "s_0 = 2, s_2 = 2, s_3 = 2"
+    for arc in sorted({a for c in parse_braid(braid).crossings for a in c}):
+        code, out, _ = run(capsys, "s", braid, "--char", "0,2,3", "--basepoint", str(arc))
+        assert (code, out) == (0, expected), arc
+
+
 def test_stair_examples(capsys):
     code, out, _ = run(capsys, "stair", "S(2)*S(3)")
     assert code == 0

@@ -9,6 +9,7 @@ from khconc import (
     NotKnotLikeError,
     build_ck,
     build_staircase,
+    chain_map_lattice,
     direct_sum,
     distance_d,
     dual,
@@ -19,9 +20,10 @@ from khconc import (
     shift,
     tensor,
     unit_complex,
+    z_equivalent,
     z_iso_exists,
 )
-from khconc import invariants, parse_braid, reduce
+from khconc import complexes, invariants, parse_braid, reduce
 from khconc.invariants import integer_homology_profile, tuple_from_filtration
 from khconc.khovanov import _build
 
@@ -239,3 +241,30 @@ class TestSchuetzSz:
             t = schuetz_sz(c)
             assert all(k >= 1 for k in t.ks)
 
+
+def test_validate_once_per_entry_point(monkeypatch):
+    # rasmussen_s validates twice: field_normal_form is public and validates too
+    expected = {
+        "schuetz_sz": (schuetz_sz, 1),
+        "knotlike_check": (knotlike_check, 1),
+        "generator_cycle": (generator_cycle, 1),
+        "rasmussen_s": (lambda c: rasmussen_s(c, 0), 2),
+        "z_equivalent": (lambda c: z_equivalent(c, c), 2),
+        "distance_d": (lambda c: distance_d(c, c, 1), 2),
+        "z_iso_exists": (lambda c: z_iso_exists(c, c, 0), 2),
+        "chain_map_lattice": (lambda c: chain_map_lattice(c, c, 0), 2),
+    }
+    calls = []
+    validate = complexes.validate
+
+    def counted(c):
+        calls.append(c)
+        return validate(c)
+
+    monkeypatch.setattr(complexes, "validate", counted)
+    counts = {}
+    for name, (call, _) in expected.items():
+        calls.clear()
+        call(build_ck(1))
+        counts[name] = len(calls)
+    assert counts == {name: n for name, (_, n) in expected.items()}

@@ -4,9 +4,14 @@ The orientation walk of analyze_pd is checked against the older
 propagation-based analysis; s_c is checked against two closed forms, each
 counting resolution circles with its own union-find: Rasmussen's
 s_c = 1 + c - k on positive diagrams and s_0 = -sigma with Traczyk's
-signature formula on reduced alternating diagrams.
+signature formula on reduced alternating diagrams.  A fixed-seed set of
+11-12 crossing braids for both forms is opt-in, as the stretch test is.
 """
 
+import os
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from khconc import build_complex, parse_braid, rasmussen_s, reduce
@@ -101,6 +106,58 @@ def alternating_braid_knots(draw):
 )
 def test_alternating_braid_closure_s0_is_minus_signature(knot):
     strands, word = knot
+    pd = parse_braid(_braid_text(strands, word))
+    c = reduce(build_complex(pd))
+    assert rasmussen_s(c, 0) == support.alternating_diagram_s0(pd)
+
+
+def _seeded_knots(seed, draw_word, count=4):
+    """The first count distinct braid knots that draw_word makes from the seed,
+    as pytest parameters named by their braid text."""
+    rng = random.Random(seed)
+    knots = []
+    while len(knots) < count:
+        strands, word = draw_word(rng)
+        if support.braid_is_knot(strands, word) and (strands, word) not in knots:
+            knots.append((strands, word))
+    return [pytest.param(*knot, id=_braid_text(*knot)) for knot in knots]
+
+
+def _positive_word(rng):
+    strands = rng.randint(2, 4)
+    return strands, [rng.randint(1, strands - 1) for _ in range(rng.randint(11, 12))]
+
+
+def _alternating_word(rng):
+    strands = rng.randint(2, 4)
+    while True:
+        counts = [rng.randint(2, 12) for _ in range(1, strands)]
+        if sum(counts) in (11, 12):
+            break
+    letters = [i if i % 2 else -i for i, n in enumerate(counts, 1) for _ in range(n)]
+    rng.shuffle(letters)
+    return strands, letters
+
+
+stretch = pytest.mark.skipif(
+    not os.environ.get("RUN_STRETCH"),
+    reason="11-12 crossing oracles; enable with RUN_STRETCH=1",
+)
+
+
+@stretch
+@pytest.mark.parametrize("strands, word", _seeded_knots(11, _positive_word))
+def test_positive_braid_closure_s_11_12_crossings(strands, word):
+    pd = parse_braid(_braid_text(strands, word))
+    expected = support.positive_diagram_s(pd)
+    assert expected == len(word) - strands + 1
+    c = reduce(build_complex(pd))
+    assert [rasmussen_s(c, ch) for ch in CHARS] == [expected] * len(CHARS)
+
+
+@stretch
+@pytest.mark.parametrize("strands, word", _seeded_knots(12, _alternating_word))
+def test_alternating_braid_closure_s0_11_12_crossings(strands, word):
     pd = parse_braid(_braid_text(strands, word))
     c = reduce(build_complex(pd))
     assert rasmussen_s(c, 0) == support.alternating_diagram_s0(pd)

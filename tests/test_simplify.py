@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from khconc import (
     GElem,
@@ -31,6 +32,7 @@ from support import (
     expected_truncated_dims,
     g1_field_homology_dims,
     random_knotlike,
+    reference_split_summands,
     scramble,
     truncated_homology_dims,
 )
@@ -138,6 +140,8 @@ class TestReduce:
             reduce(c)
         with pytest.raises(ValueError, match="^cancel_pivot: entry a->b"):
             cancel_pivot(c, ("a", "b"))
+        with pytest.raises(ValueError, match="^split_summands: entry a->b"):
+            split_summands(c)
 
 
 def random_unit_riddled_complex(rng):
@@ -309,3 +313,31 @@ class TestSplitSummands:
             # the two parts together exhaust the tensor product
             assert graded_rank(parts[0]) + graded_rank(parts[1]) == graded_rank(t)
 
+
+STAIRCASE_SPECS = [(), (1,), (2,), (3,), (4,), (2, 4), (1, 2), (2, 2), (3, 9)]
+
+
+@st.composite
+def split_inputs(draw):
+    """Scrambled random knot-like complexes, direct sums with shifted copies,
+    and Sigma_A (x) dual(Sigma_B), reduced or not."""
+    kind = draw(st.sampled_from(["knotlike", "sum", "staircases"]))
+    if kind == "staircases":
+        a, b = draw(st.sampled_from(STAIRCASE_SPECS)), draw(st.sampled_from(STAIRCASE_SPECS))
+        t = tensor(build_staircase(a), dual(build_staircase(b)))
+        return reduce(t) if draw(st.booleans()) else t
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    c = scramble(random_knotlike(rng, max_pieces=3), rng, moves=rng.randint(0, 12))
+    if kind == "sum":
+        other = scramble(random_knotlike(rng), rng)
+        c = direct_sum(c, shift(other, rng.randint(-1, 1), 2 * rng.randint(-2, 2)))
+    return c
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=split_inputs())
+def test_split_summands_matches_reference(c):
+    parts = split_summands(c)
+    expected = reference_split_summands(c)
+    assert parts == expected
+    assert [p.ids() for p in parts] == [p.ids() for p in expected]
