@@ -176,31 +176,38 @@ def reduce(complex: GradedComplex) -> GradedComplex:
 # summand splitting
 
 
-def _clear(out, inc, y: str, y2: str, f: int) -> None:
+def _clear(out, inc, deg, y: str, y2: str, f: int) -> tuple[int, int]:
     """Subtract f times column y from column y2 and add f times row y2 to row y.
 
     This conjugates the differential by an elementary matrix: the change of
     basis y := y + f*y2.  Called again with -f it is undone exactly.  With
     out and inc swapped it acts on the transpose, as y2 := y2 - f*y.
+    Returns the change in (entry count, total G-power), which only column
+    y2 and row y see.  An entry's G-power is counted as the absolute
+    difference of its ends' qdegs, twice the G-power (never negative),
+    whichever of out and inc is passed first.
     """
+    count = power = 0
     for a, v in list(inc[y].items()):
-        _add(out, inc, a, y2, -f * v)
+        d = _add(out, inc, a, y2, -f * v)
+        count += d
+        power += d * abs(deg[y2][1] - deg[a][1])
     for z, v in list(out[y2].items()):
-        _add(out, inc, y, z, f * v)
+        d = _add(out, inc, y, z, f * v)
+        count += d
+        power += d * abs(deg[z][1] - deg[y][1])
+    return count, power
 
 
-def _add(out, inc, a: str, z: str, v: int) -> None:
-    v += out[a].get(z, 0)
+def _add(out, inc, a: str, z: str, v: int) -> int:
+    """Add v to the entry a -> z; returns the change in entry count."""
+    old = out[a].get(z, 0)
+    v += old
     if v:
         out[a][z] = inc[z][a] = v
-    else:
-        del out[a][z], inc[z][a]
-
-
-def _potential(store: _Store) -> tuple[int, int]:
-    deg = store.deg
-    rows = store.out.items()
-    return sum(len(row) for _, row in rows), sum(deg[z][1] - deg[a][1] for a, row in rows for z in row)
+        return 0 if old else 1
+    del out[a][z], inc[z][a]
+    return -1
 
 
 def _sparsify(store: _Store) -> None:
@@ -216,7 +223,6 @@ def _sparsify(store: _Store) -> None:
     """
     deg, out, inc = store.deg, store.out, store.inc
     while True:
-        pot = _potential(store)
         moves = []
         for x in sorted(deg, key=lambda g: (deg[g][0], g)):
             qx = deg[x][1]
@@ -229,10 +235,9 @@ def _sparsify(store: _Store) -> None:
                         if y != y2 and q % p == 0 and abs(deg[y][1] - qx) <= abs(deg[y2][1] - qx):
                             moves.append((o, i, y, y2, q // p))
         for o, i, y, y2, f in moves:
-            _clear(o, i, y, y2, f)
-            if _potential(store) < pot:
+            if _clear(o, i, deg, y, y2, f) < (0, 0):
                 break
-            _clear(o, i, y, y2, -f)
+            _clear(o, i, deg, y, y2, -f)
         else:
             return
 

@@ -9,12 +9,18 @@ generator class of H_0(C at G=1) to an integer multiple lambda of the
 generator class of the target; lambda is linear on the lattice, and a
 Z-isomorphism of degree Q exists if and only if the image subgroup
 lambda(lattice) = g Z has g = 1.  No enumeration of maps is needed.
+
+g is found without a basis of the lattice: unknowns with a +-1 coefficient
+are substituted away on sparse equations, and the small remainder is
+column-echeloned together with the weight of lambda.  A kernel basis of the
+whole system is computed only if ChainMapLattice.basis is read.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import functools
+from collections import Counter, defaultdict, deque
+from dataclasses import dataclass, field
 
 from . import intmat
 from .complexes import GElem, GradedComplex, InternalInvariantError, _require_valid, tensor, dual
@@ -32,21 +38,78 @@ def generator_cycle(complex: GradedComplex) -> dict[str, int]:
     return {gid: coeff for gid, coeff in zip(srcs, z) if coeff}
 
 
+# a linear form in the unknowns: unknown index -> nonzero coefficient
+_Form = dict[int, int]
+
+
 @dataclass
 class ChainMapLattice:
     """Lattice of homogeneous chain maps source -> target of one quantum degree.
 
-    pairs[i] is the (source id, target id) generator pair of unknown i; basis
-    holds integer kernel vectors of the chain-map equations.  image_gcd
-    generates the subgroup {lambda(f)} of Z, where lambda(f) is the
+    pairs[i] is the (source id, target id) generator pair of unknown i.
+    image_gcd generates the subgroup {lambda(f)} of Z, where lambda(f) is the
     multiplier that f induces on H_0(. at G=1): the target's class covector
-    applied to the image of the source's generator cycle.
+    applied to the image of the source's generator cycle.  witness() gives
+    one chain map f with lambda(f) = image_gcd.  basis, integer kernel
+    vectors of the chain-map equations, is computed only when it is read;
+    image_gcd does not need it.
     """
 
     qdegree: int
     pairs: list[tuple[str, str]]
-    basis: list[list[int]]
     image_gcd: int
+    # the chain-map equations and the weight of lambda, as built
+    _equations: list[_Form] = field(repr=False)
+    _weight: _Form = field(repr=False)
+    # _substitute's steps, remaining equations and remaining weight
+    _steps: list[tuple[int, _Form]] = field(repr=False)
+    _remainder: tuple[list[_Form], _Form] = field(repr=False)
+
+    @functools.cached_property
+    def basis(self) -> list[list[int]]:
+        """intmat.kernel_basis of the equations as dense rows, over all the unknowns."""
+        n = len(self.pairs)
+        rows = []
+        for eq in self._equations:
+            row = [0] * n
+            for i, c in eq.items():
+                row[i] = c
+            rows.append(row)
+        return intmat.kernel_basis(rows, ncols=n) if n else []
+
+    def witness(self) -> dict[tuple[str, str], int]:
+        """One chain map f with lambda(f) = image_gcd, as pair -> coefficient.
+
+        One integer solution of the remainder, extended to the substituted
+        unknowns in reverse order; it is checked against every chain-map
+        equation and the weight before it is returned.
+        """
+        unknowns, a, w = _dense(*self._remainder)
+        x = intmat.solve(a + [w], [0] * len(a) + [self.image_gcd])
+        values = dict(zip(unknowns, x or []))
+        for u, eq in reversed(self._steps):
+            values[u] = -eq[u] * sum(c * values.get(v, 0) for v, c in eq.items() if v != u)
+
+        def apply(form: _Form) -> int:
+            return sum(c * values.get(v, 0) for v, c in form.items())
+
+        problem = None
+        if x is None:
+            problem = f"the remainder has no solution with lambda = {self.image_gcd}"
+        elif any(map(apply, self._equations)):
+            problem = "the witness is not a chain map"
+        elif apply(self._weight) != self.image_gcd:
+            problem = f"the witness has lambda = {apply(self._weight)}, not {self.image_gcd}"
+        if problem:
+            raise InternalInvariantError(
+                "zeq",
+                problem,
+                unknowns=len(self.pairs),
+                equations=len(self._equations),
+                remainder_unknowns=len(unknowns),
+                remainder_equations=len(a),
+            )
+        return {self.pairs[i]: values[i] for i in sorted(values) if values[i]}
 
 
 def admissible_pairs(
@@ -85,44 +148,115 @@ def _lattice(
     """chain_map_lattice given both complexes' _h0_class_data."""
     ssrcs, _, cycle, _ = src_h0
     tsrcs, phi, _, _ = tgt_h0
-    triples = admissible_pairs(source, target, qdegree)
-    pairs = [(x, y) for x, y, _ in triples]
-    index = {pair: i for i, pair in enumerate(pairs)}
-    n = len(pairs)
-
+    pairs = [(x, y) for x, y, _ in admissible_pairs(source, target, qdegree)]
     pairs_by_source: dict[str, list[tuple[str, int]]] = {}
-    for (x, y), i in index.items():
+    for i, (x, y) in enumerate(pairs):
         pairs_by_source.setdefault(x, []).append((y, i))
 
-    rows: list[list[int]] = []
-    tgt_ids_by_t: dict[int, list[str]] = {}
-    for g in target.generators:
-        tgt_ids_by_t.setdefault(g.tdeg, []).append(g.id)
+    # (f d - d f)(x) = 0 is one equation per target generator z one degree
+    # up, taken in the order of x, then of z in the target
+    position = {g.id: k for k, g in enumerate(target.generators)}
+    equations: list[_Form] = []
     for gx in source.generators:
-        for z in tgt_ids_by_t.get(gx.tdeg + 1, []):
-            row = [0] * n
-            used = False
-            for y, v in source.out_of(gx.id).items():
-                i = index.get((y, z))
-                if i is not None:
-                    row[i] += v.scalar
-                    used = True
-            for w, i in pairs_by_source.get(gx.id, []):
-                dv = target.entry(w, z)
-                if not dv.is_zero():
-                    row[i] -= dv.scalar
-                    used = True
-            if used and any(row):
-                rows.append(row)
-    basis = intmat.kernel_basis(rows, ncols=n) if n else []
+        by_z: dict[str, Counter] = defaultdict(Counter)
+        for y, v in source.out_of(gx.id).items():
+            for z, i in pairs_by_source.get(y, ()):
+                by_z[z][i] += v.scalar
+        for w, i in pairs_by_source.get(gx.id, ()):
+            for z, v in target.out_of(w).items():
+                by_z[z][i] -= v.scalar
+        for z in sorted(by_z, key=position.__getitem__):
+            eq = {i: c for i, c in by_z[z].items() if c}
+            if eq:
+                equations.append(eq)
 
     # lambda(f) = phi . f(z), linear in the unknowns with weight z[x] * phi[y]
     alpha = dict(zip(ssrcs, cycle))
     beta = dict(zip(tsrcs, phi))
-    weight = [alpha.get(x, 0) * beta.get(y, 0) for x, y in pairs]
-    image_gcd = math.gcd(*(sum(u * w for u, w in zip(vec, weight)) for vec in basis))
-    return ChainMapLattice(qdegree=qdegree, pairs=pairs, basis=basis, image_gcd=image_gcd)
+    weight = {
+        i: alpha[x] * beta[y] for i, (x, y) in enumerate(pairs) if alpha.get(x) and beta.get(y)
+    }
+    steps, rest, rest_weight = _substitute(equations, weight)
+    _, a, w = _dense(rest, rest_weight)
+    return ChainMapLattice(
+        qdegree, pairs, intmat.kernel_image_gcd(a, w), equations, weight, steps, (rest, rest_weight)
+    )
 
+
+def _substitute(
+    equations: list[_Form], weight: _Form
+) -> tuple[list[tuple[int, _Form]], list[_Form], _Form]:
+    """Eliminate unknowns that have a +-1 coefficient, on copies of the forms.
+
+    An equation c x_u + sum a_v x_v = 0 with c = +-1 fixes
+    x_u = -c sum a_v x_v.  Adding multiples of it clears u from every other
+    equation and from the weight, and forgetting x_u then maps the kernel
+    bijectively onto the kernel of the rest, with the same image under the
+    weight.  Equations are examined in order, and again after each change;
+    the pivot is the unit whose unknown occurs in the fewest equations.
+    Returns the steps (u, its equation) in order, the remaining equations
+    and the remaining weight.
+    """
+    live = {k: dict(eq) for k, eq in enumerate(equations)}
+    weight = dict(weight)
+    where: dict[int, set[int]] = defaultdict(set)
+    for k, eq in live.items():
+        for u in eq:
+            where[u].add(k)
+    queue = deque(live)
+    steps = []
+    while queue:
+        k = queue.popleft()
+        eq = live.get(k, {})
+        units = [u for u, c in eq.items() if c == 1 or c == -1]
+        if not units:
+            continue
+        u = min(units, key=lambda u: (len(where[u]), u))
+        c = eq[u]
+        del live[k]
+        for v in eq:
+            where[v].discard(k)
+        for k2 in where.pop(u):
+            eq2 = live[k2]
+            _axpy(eq2, -c * eq2[u], eq, where, k2)
+            if eq2:
+                queue.append(k2)
+            else:
+                del live[k2]
+        if u in weight:
+            _axpy(weight, -c * weight[u], eq)
+        steps.append((u, eq))
+    return steps, list(live.values()), weight
+
+
+def _axpy(
+    form: _Form, f: int, eq: _Form, where: dict[int, set[int]] | None = None, k: int = -1
+) -> None:
+    """form += f * eq.  If form is equation k, where (unknown -> the
+    equations holding it) is kept current."""
+    for v, c in eq.items():
+        x = form.get(v, 0) + f * c
+        if x:
+            if where is not None and v not in form:
+                where[v].add(k)
+            form[v] = x
+        elif v in form:
+            del form[v]
+            if where is not None and v in where:
+                where[v].discard(k)
+
+
+def _dense(equations: list[_Form], weight: _Form) -> tuple[list[int], list[list[int]], list[int]]:
+    """The unknowns that occur, in order, and the equations and weight as dense rows over them."""
+    unknowns = sorted({u for eq in equations for u in eq} | weight.keys())
+    position = {u: j for j, u in enumerate(unknowns)}
+    rows = []
+    for form in [*equations, weight]:
+        row = [0] * len(unknowns)
+        for u, c in form.items():
+            row[position[u]] = c
+        rows.append(row)
+    return unknowns, rows[:-1], rows[-1]
 
 def z_iso_exists(source: GradedComplex, target: GradedComplex, qdegree: int) -> bool:
     """Is there a chain map of this quantum degree inducing +-1 on H_0(. at G=1)?

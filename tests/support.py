@@ -12,8 +12,9 @@ from fractions import Fraction
 
 from khconc import ComplexBuilder, GElem, Generator, GradedComplex, direct_sum, generator_cycle, unit_complex
 from khconc import intmat
-from khconc.invariants import g1_matrix, tuple_from_filtration
+from khconc.invariants import _h0_class_data, g1_matrix, tuple_from_filtration
 from khconc.khovanov import PDCode
+from khconc.zeq import admissible_pairs
 
 
 def acyclic_square(q=0, t=0, tag="sq", scal=1):
@@ -213,6 +214,52 @@ def reference_split_summands(complex: GradedComplex) -> list[GradedComplex]:
         parts.append(GradedComplex(gens, entries))
     parts.sort(key=lambda c: min((g.tdeg, g.qdeg, g.id) for g in c.generators))
     return parts
+
+
+def reference_image_gcd(source: GradedComplex, target: GradedComplex, qdegree: int) -> int:
+    """The gcd of lambda over the chain-map lattice, through a dense kernel basis.
+
+    The chain-map equations are built as dense rows, intmat.kernel_basis
+    (a column echelon carrying an n x n transform) gives the kernel, and
+    every kernel vector is dotted with the weight z[x] * phi[y].
+    """
+    ssrcs, _, cycle, _ = _h0_class_data(source)
+    tsrcs, phi, _, _ = _h0_class_data(target)
+    triples = admissible_pairs(source, target, qdegree)
+    pairs = [(x, y) for x, y, _ in triples]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    n = len(pairs)
+
+    pairs_by_source: dict[str, list[tuple[str, int]]] = {}
+    for (x, y), i in index.items():
+        pairs_by_source.setdefault(x, []).append((y, i))
+
+    rows: list[list[int]] = []
+    tgt_ids_by_t: dict[int, list[str]] = {}
+    for g in target.generators:
+        tgt_ids_by_t.setdefault(g.tdeg, []).append(g.id)
+    for gx in source.generators:
+        for z in tgt_ids_by_t.get(gx.tdeg + 1, []):
+            row = [0] * n
+            used = False
+            for y, v in source.out_of(gx.id).items():
+                i = index.get((y, z))
+                if i is not None:
+                    row[i] += v.scalar
+                    used = True
+            for w, i in pairs_by_source.get(gx.id, []):
+                dv = target.entry(w, z)
+                if not dv.is_zero():
+                    row[i] -= dv.scalar
+                    used = True
+            if used and any(row):
+                rows.append(row)
+    basis = intmat.kernel_basis(rows, ncols=n) if n else []
+
+    alpha = dict(zip(ssrcs, cycle))
+    beta = dict(zip(tsrcs, phi))
+    weight = [alpha.get(x, 0) * beta.get(y, 0) for x, y in pairs]
+    return math.gcd(*(sum(u * w for u, w in zip(vec, weight)) for vec in basis))
 
 
 def random_knotlike(rng, max_pieces=2):

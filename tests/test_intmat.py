@@ -78,6 +78,23 @@ def test_pinned_outputs():
         assert intmat.solve(a, b) == x, (a, b)
 
 
+@given(matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_image_gcd_matches_kernel_basis(a, data):
+    w = data.draw(st.lists(st_entries, min_size=len(a[0]), max_size=len(a[0])))
+    kernel = intmat.kernel_basis(a)
+    expect = math.gcd(*(sum(u * v for u, v in zip(vec, w)) for vec in kernel))
+    assert intmat.kernel_image_gcd(a, w) == expect
+
+
+def test_kernel_image_gcd_edges():
+    assert intmat.kernel_image_gcd([], []) == 0
+    assert intmat.kernel_image_gcd([], [4, 6]) == 2
+    # the kernel is spanned by (2, -1), so w = (1, 0) takes it onto 2Z
+    assert intmat.kernel_image_gcd([[1, 2]], [1, 0]) == 2
+    assert intmat.kernel_image_gcd([[1, 2]], [2, 4]) == 0
+
+
 def test_kernel_of_empty_matrix_is_standard_basis():
     assert intmat.kernel_basis([], ncols=2) == [[1, 0], [0, 1]]
     assert intmat.solve([], []) == []

@@ -341,3 +341,32 @@ def test_split_summands_matches_reference(c):
     expected = reference_split_summands(c)
     assert parts == expected
     assert [p.ids() for p in parts] == [p.ids() for p in expected]
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=split_inputs(), data=st.data())
+def test_clear_returns_the_change_in_potential(c, data):
+    from khconc.simplify import _Store, _clear
+
+    def potential(store):
+        entries = [(a, z) for a, row in store.out.items() for z in row]
+        return len(entries), sum(store.deg[z][1] - store.deg[a][1] for a, z in entries)
+
+    store = _Store.load(c, "split_summands")
+    deg, out, inc = store.deg, store.out, store.inc
+    # every divisibility move of every row and column, as _sparsify lists them
+    moves = [
+        (o, i, y, y2, o[x][y2] // o[x][y])
+        for x in sorted(deg)
+        for o, i in ((out, inc), (inc, out))
+        for y in o[x]
+        for y2 in o[x]
+        if y != y2
+        and o[x][y2] % o[x][y] == 0
+        and abs(deg[y][1] - deg[x][1]) <= abs(deg[y2][1] - deg[x][1])
+    ]
+    for o, i, y, y2, f in data.draw(st.lists(st.sampled_from(moves), max_size=6)) if moves else []:
+        before = potential(store)
+        count, power = _clear(o, i, deg, y, y2, f)
+        after = potential(store)
+        assert (after[0] - before[0], after[1] - before[1]) == (count, power)

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -26,7 +28,8 @@ from khconc import (
     z_equivalent,
     z_iso_exists,
 )
-from khconc import zeq
+from khconc import intmat, zeq
+from khconc.invariants import _h0_class_data
 from khconc.zeq import zeta
 
 import support
@@ -106,6 +109,102 @@ class TestChainMapLattice:
                         assert_chain_map(src, tgt, qdeg, {lat.pairs[i]: u for i, u in enumerate(vec) if u})
                     checked += len(lat.basis)
         assert checked >= 100, checked
+
+
+@pytest.fixture(scope="module")
+def fig8_pair():
+    """C^1 (x) 4_1 (x) 4_1 (rank 125) and a scramble of it: 1553 unknowns at q = 0."""
+    fig8 = reduce(build_complex(parse_braid("BR[3; 1,-2,1,-2]")))
+    big = tensor(tensor(build_ck(1), fig8), fig8)
+    return big, support.scramble(big, random.Random(5), moves=60)
+
+
+def small_lattice_pairs():
+    """Random knot-like pairs and their scrambles, staircases, C^1 and C^2."""
+    rng = random.Random(61)
+    pairs = []
+    for _ in range(12):
+        a = support.random_knotlike(rng)
+        b = support.scramble(support.random_knotlike(rng), rng)
+        pairs += [(a, b), (b, a), (a, support.scramble(a, rng))]
+    stairs = [build_staircase(spec) for spec in [(), (0,), (2,), (3,), (4,), (6,), (2, 4)]]
+    pairs += itertools.product(stairs, repeat=2)
+    c1, c2 = build_ck(1), build_ck(2)
+    return pairs + [(c1, c2), (c2, c1), (c2, c2)]
+
+
+def test_image_gcd_matches_dense_reference(fig8_pair):
+    big, sheared = fig8_pair
+    cases = [(a, b, q) for a, b in small_lattice_pairs() for q in (0, -2, -4)]
+    # the dense reference spends seconds on each rank-125 case, so that pair
+    # runs both ways at q = 0 and one way at each lower degree
+    cases += [(big, sheared, 0), (sheared, big, 0), (big, sheared, -2), (sheared, big, -4)]
+    seen = Counter()
+    for a, b, q in cases:
+        g = chain_map_lattice(a, b, q).image_gcd
+        assert g == support.reference_image_gcd(a, b, q), (a, b, q)
+        seen[min(g, 2)] += 1
+    assert seen[0] and seen[1] and seen[2], seen
+
+
+def assert_witness(src, tgt, qdeg):
+    """lat.witness() is a chain map whose lambda, phi . f(z), is image_gcd."""
+    lat = chain_map_lattice(src, tgt, qdeg)
+    fmap = lat.witness()
+    assert_chain_map(src, tgt, qdeg, fmap)
+    cycle = generator_cycle(src)
+    tsrcs, phi, _, _ = _h0_class_data(tgt)
+    covector = dict(zip(tsrcs, phi))
+    assert sum(cycle.get(x, 0) * u * covector.get(y, 0) for (x, y), u in fmap.items()) == lat.image_gcd
+    return lat.image_gcd
+
+
+def test_witness_is_a_chain_map_with_lambda_image_gcd(fig8_pair):
+    assert assert_witness(build_staircase((2,)), build_staircase((6,)), 0) == 1
+    assert assert_witness(build_staircase((6,)), build_staircase((2,)), 0) == 3
+    gcds = Counter(assert_witness(a, b, q) for a, b in small_lattice_pairs() for q in (0, -2))
+    assert gcds[1] and gcds[0] and len(gcds) > 2, gcds
+    assert assert_witness(*fig8_pair, 0) == 1
+
+
+def test_broken_witness_is_internal_error():
+    lat = chain_map_lattice(build_staircase((2,)), build_staircase((4,)), 0)
+    assert lat.image_gcd == 1
+    sizes = r"\(unknowns \d+, equations \d+, remainder_unknowns \d+, remainder_equations \d+\)$"
+    doubled = dataclasses.replace(lat, _weight={i: 2 * c for i, c in lat._weight.items()})
+    with pytest.raises(InternalInvariantError, match=r"^zeq: .*the witness has lambda = 2, not 1 " + sizes):
+        doubled.witness()
+    used = next(iter(lat.witness()))
+    extra = dataclasses.replace(lat, _equations=lat._equations + [{lat.pairs.index(used): 1}])
+    with pytest.raises(InternalInvariantError, match=r"^zeq: .*the witness is not a chain map " + sizes):
+        extra.witness()
+
+
+def test_lattice_takes_no_kernel_basis_over_its_unknowns(monkeypatch, fig8_pair):
+    cols = []
+    kernel_basis = intmat.kernel_basis
+
+    def recorded(a, ncols=None):
+        cols.append(len(a[0]) if a else ncols)
+        return kernel_basis(a, ncols)
+
+    monkeypatch.setattr(intmat, "kernel_basis", recorded)
+    big, sheared = fig8_pair
+    for a, b in [(build_ck(1), build_ck(2)), (big, sheared), (big, build_ck(1))]:
+        cols.clear()
+        lat = chain_map_lattice(a, b, 0)
+        assert lat.image_gcd >= 0
+        # only the H_0 class data's small kernels
+        assert cols and max(cols) < len(lat.pairs), (cols, len(lat.pairs))
+        cols.clear()
+        z_equivalent(a, b)
+        ra, rb = reduce(a), reduce(b)
+        unknowns = min(len(zeq.admissible_pairs(ra, rb, 0)), len(zeq.admissible_pairs(rb, ra, 0)))
+        assert cols and max(cols) < unknowns, (cols, unknowns)
+    # basis alone pays for a kernel over every unknown, and only when read
+    lat = chain_map_lattice(build_ck(1), build_ck(2), 0)
+    cols.clear()
+    assert lat.basis and cols == [len(lat.pairs)]
 
 
 @pytest.mark.parametrize("bad", [acyclic_square(), support.torsion_h0()], ids=["acyclic", "torsion"])
