@@ -19,6 +19,10 @@ follow the parity of the 1-bits below the flipped coordinate.  These
 conventions are pinned by two anchors, checked in the test suite: the
 crossingless diagram yields exactly t^0 q^0 Z[G], and the right trefoil has
 Rasmussen invariant +2 in every characteristic.
+
+build_complex returns that cube up to FULL_CUBE_LIMIT crossings.  Above it,
+tangle.assemble builds a homotopy equivalent complex crossing by crossing,
+under the same degree conventions, and never visits the 2^n vertices.
 """
 
 from __future__ import annotations
@@ -414,13 +418,12 @@ def _carry_runs(moves: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
 
 
 def _edge_terms(
-    basepoint: int, sign: int, svd: _VertexData, tvd: _VertexData, stream: bool
-) -> tuple[int, dict[int, list[tuple[int, int, bool]]]]:
+    basepoint: int, sign: int, svd: _VertexData, tvd: _VertexData
+) -> tuple[int, dict[int, list[tuple[int, int]]]]:
     """The merge or split of one cube edge, read off the Frobenius tables.
 
     Returns the mask of the source bits the edge reads and, for each value
-    of those bits, the (target bits set, scalar, queue as unit) terms.
-    Every term's scalar is +-1; the gpow-0 ones are units.
+    of those bits, the (target bits set, scalar) terms; every scalar is +-1.
     """
     sbit, tbit = svd.bit, tvd.bit
     src = [c for c in svd.circles if c not in tbit]
@@ -445,10 +448,10 @@ def _edge_terms(
     for mask in masks:
         if len(src) == 2:
             table = MERGE[(label(mask, src[0]), label(mask, src[1]))]
-            rows = [((lab,), scal, gpow) for lab, scal, gpow in table]
+            rows = [((lab,), scal) for lab, scal, _ in table]
         else:
-            rows = [((old, new), scal, gpow) for old, new, scal, gpow in SPLIT[label(mask, src[0])]]
-        terms[mask] = [(x_bits(labels), sign * scal, stream and gpow == 0) for labels, scal, gpow in rows]
+            rows = [((old, new), scal) for old, new, scal, _ in SPLIT[label(mask, src[0])]]
+        terms[mask] = [(x_bits(labels), sign * scal) for labels, scal in rows]
     return masks[-1], terms
 
 
@@ -459,32 +462,23 @@ def _emit_edge(
     svd: _VertexData,
     crossing: int,
     tvd: _VertexData,
-    stream: bool,
 ) -> None:
-    """All differential entries from src_vertex along one cube edge.
-
-    Sources already removed by cancellation are skipped; with stream set,
-    unit entries are queued for cancellation.
-    """
+    """All differential entries from src_vertex along one cube edge."""
     sign = -1 if (src_vertex & ((1 << crossing) - 1)).bit_count() % 2 else 1
-    read, terms = _edge_terms(basepoint, sign, svd, tvd, stream)
+    read, terms = _edge_terms(basepoint, sign, svd, tvd)
     runs = _carry_runs(
         [(p, tvd.bit[c]) for c in svd.circles if (p := svd.bit[c]) is not None and c in tvd.bit]
     )
-    out, inc, queue = store.out, store.inc, store.queue
-    tids, tdeg = tvd.ids, svd.tdeg
+    out, inc = store.out, store.inc
+    tids = tvd.ids
     for smask, src in enumerate(svd.ids):
-        row = out.get(src)
-        if row is None:
-            continue
+        row = out[src]
         carried = 0
         for m, left, right in runs:
             carried |= ((smask & m) << left) >> right
-        for bits, scal, unit in terms[smask & read]:
+        for bits, scal in terms[smask & read]:
             tgt = tids[carried | bits]
             row[tgt] = inc[tgt][src] = scal
-            if unit:
-                queue.append((tdeg, src, tgt))
 
 
 def _crossing_cap(cap: int | None) -> int:
@@ -502,11 +496,11 @@ def _crossing_cap(cap: int | None) -> int:
 def build_complex(pd: PDCode, cap: int | None = None) -> GradedComplex:
     """The reduced universal Khovanov complex of the diagram.
 
-    One slice loop builds every cube.  Up to FULL_CUBE_LIMIT crossings it
-    returns the exact cube complex; above that it streams, cancelling unit
-    pivots between each pair of adjacent slices before the next slice is
-    emitted, which keeps a fraction of the cube in memory.  The streamed
-    result equals simplify.reduce of the exact cube, byte for byte.
+    Up to FULL_CUBE_LIMIT crossings this is the exact cube complex.  Above
+    that, tangle.assemble adds the crossings one at a time to the knot cut
+    at its basepoint, delooping closed circles and cancelling unit entries
+    after every crossing, so it never visits the 2^n resolutions; its
+    result is homotopy equivalent to the cube, with no unit entries left.
     """
     n = len(pd.crossings)
     limit = _crossing_cap(cap)
@@ -514,18 +508,17 @@ def build_complex(pd: PDCode, cap: int | None = None) -> GradedComplex:
         raise ResourceCapError(
             f"diagram has {n} crossings, cap is {limit} (raise it explicitly to proceed)"
         )
-    return _build(pd, stream=n > FULL_CUBE_LIMIT)
+    if n <= FULL_CUBE_LIMIT:
+        return _build(pd)
+    # imported on first use, so that importing the package compiles no more
+    # source than the small-diagram path needs
+    from .tangle import assemble
+
+    return assemble(pd)
 
 
-def _build(pd: PDCode, stream: bool) -> GradedComplex:
-    """Emit the cube one homological slice at a time, with the edges into it.
-
-    With stream set, unit pivots between the two newest slices are cancelled
-    before the next slice is emitted.  Cancelling only rewrites entries
-    between those two slices, and the outgoing differentials of survivors
-    are still the original cube entries, so later slices can be emitted
-    against the survivors; the pivots come in the order reduce takes them.
-    """
+def _build(pd: PDCode) -> GradedComplex:
+    """The exact cube, emitted one homological slice at a time with the edges into it."""
     n = len(pd.crossings)
     n_plus, n_minus = pd.n_plus, pd.n_minus
     store = _Store()
@@ -541,9 +534,7 @@ def _build(pd: PDCode, stream: bool) -> GradedComplex:
         for v, svd in prev.items():
             for j in range(n):
                 if not (v >> j) & 1:
-                    _emit_edge(store, pd.basepoint, v, svd, j, cur[v | (1 << j)], stream)
-        if stream:
-            store.cancel_units()
+                    _emit_edge(store, pd.basepoint, v, svd, j, cur[v | (1 << j)])
         prev = cur
     return store.freeze()
 
@@ -566,5 +557,5 @@ def positive_diagram_degree_check(pd: PDCode) -> bool:
     if pd.n_minus:
         raise ValueError("diagram is not positive")
     bound = 1 + len(pd.crossings) - seifert_circle_count(pd)
-    complex = _build(pd, stream=False)
+    complex = _build(pd)
     return all(g.qdeg >= bound for g in complex.generators if g.tdeg == 0)

@@ -7,7 +7,7 @@ Three layers of simplification, in increasing strength:
     It runs on a private store of plain int scalars: the G-power of an entry
     is implied by the degrees, so the input's stored G-powers are checked
     once on loading and GElems are made again only for the result.
-    khovanov's cube builder emits into, and cancels in, the same store.
+    khovanov's exact cube is emitted into the same store.
   * split_summands: connected components of the generator graph, preceded
     by a deterministic divisibility-driven change of basis that zeroes
     entries when a parallel entry divides them.  Basis changes are
@@ -45,8 +45,7 @@ class _Store:
     unit is a +-1 entry with q_y = q_x, and GElems are made only in freeze.
     queue holds the (t_src, src, tgt) keys of unit entries; a key whose
     entry has since changed or gone is skipped when popped.  khovanov's cube
-    emission writes entries into out and inc, and their keys into queue,
-    directly.
+    emission writes entries into out and inc directly.
     """
 
     __slots__ = ("deg", "out", "inc", "queue")

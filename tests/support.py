@@ -339,6 +339,30 @@ def field_rank(mat, char):
     return r
 
 
+def g0_homology_dims(c, char):
+    """(t, q)-graded dims of H(C (x) F) at G = 0, F = Q (char 0) or F_char.
+
+    Only the G^0 entries survive, and they keep q, so each quantum degree
+    is a complex of its own; ranks come from the dense field_rank.
+    """
+    gens = {}
+    for g in c.generators:
+        gens.setdefault((g.tdeg, g.qdeg), []).append(g.id)
+
+    def rank(t, q):
+        srcs, tgts = gens.get((t, q), []), gens.get((t + 1, q), [])
+        index = {gid: i for i, gid in enumerate(tgts)}
+        mat = [[0] * len(srcs) for _ in tgts]
+        for j, gid in enumerate(srcs):
+            for tgt, val in c.out_of(gid).items():
+                if val.gpow == 0:
+                    mat[index[tgt]][j] = val.scalar
+        return field_rank(mat, char)
+
+    dims = {(t, q): len(ids) - rank(t, q) - rank(t - 1, q) for (t, q), ids in gens.items()}
+    return {key: d for key, d in dims.items() if d}
+
+
 def truncated_homology_dims(c, char, m):
     """t-graded dims of H(C (x) F[G]/G^m), each generator expanded m-fold."""
     lo, hi = c.tdeg_range()

@@ -184,6 +184,17 @@ def test_crossing_cap_env_var(capsys, monkeypatch):
     assert out.strip() == "s_0 = 4"
 
 
+def test_fourteen_crossing_double_end_to_end(capsys):
+    # the clasped trefoil double of the stretch test, as PD text; above ten
+    # crossings the CLI builds it by tangle assembly
+    pd = support.double_pd(parse_braid("BR[2; 1,1,1]"), clasp="A")
+    text = "PD[" + ",".join("X({},{},{},{})".format(*c) for c in pd.crossings) + "]"
+    code, out, _ = run(capsys, "s", text, "--char", "0,2,3", "--cap", "14")
+    assert (code, out.strip()) == (0, "s_0 = 0, s_2 = 2, s_3 = 0")
+    code, out, _ = run(capsys, "sz", text, "--cap", "14")
+    assert (code, out.strip()) == (0, "(0), gl = 0")
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "kh", RIGHT_TREFOIL, "--json")
     _, out2, _ = run(capsys, "kh", RIGHT_TREFOIL, "--json")

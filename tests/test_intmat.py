@@ -165,7 +165,7 @@ def test_smith_form_alternates_echelons():
 
 def test_homology_profile_of_cube_equals_that_of_reduction():
     for word in ("BR[2; 1,1,1,1,1]", "BR[3; 1,2,1,2,1,2,1,2]"):
-        cube = khovanov._build(parse_braid(word), stream=False)
+        cube = khovanov._build(parse_braid(word))
         reduced = reduce(cube)
         assert cube.total_rank > 10 * reduced.total_rank
         profile = {t: v for t, v in integer_homology_profile(cube).items() if v != (0, [])}

@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,8 +28,13 @@ from khconc import (
     validate,
     z_equivalent,
 )
-from khconc.khovanov import _build, frobenius_consistent, seifert_circle_count
+from khconc.khovanov import LABEL_BP, LABEL_ONE, LABEL_X, MERGE, SPLIT, _build, analyze_pd, frobenius_consistent, seifert_circle_count
+from khconc.simplify import field_normal_form
+from khconc import tangle
+from khconc.tangle import assemble
 from khconc.invariants import integer_homology_profile
+
+import support
 
 RIGHT_TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 FIGURE_EIGHT = "PD[X(4,2,5,1),X(8,6,1,5),X(6,3,7,4),X(2,7,3,8)]"
@@ -168,15 +178,117 @@ class TestCubeStructure:
         with pytest.raises(ResourceCapError):
             build_complex(parse_braid("BR[2; 1,1,1,1,1]"), cap=4)
 
-    def test_streamed_build_equals_reduced_cube(self):
+    def test_tangle_assembly_equals_reduced_cube(self):
         pds = [parse_pd(RIGHT_TREFOIL, basepoint=bp) for bp in (2, 3, 6)]
         pds += [parse_pd(FIGURE_EIGHT)]
         pds += [parse_braid(w) for w in ("BR[3; 1,1,1,-2,1,-2]", "BR[2; 1,1,1,1,1]", "BR[3; 1,2,1,2,1,2,1,2]")]
         pds += [connected_sum_pd(parse_braid("BR[2; 1,1,1]"), parse_braid("BR[2; -1,-1,-1]"))]
+        rng = random.Random(15)
+        while len(pds) < 38:
+            strands = rng.randint(2, 4)
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(1, 9))]
+            if not support.braid_is_knot(strands, word):
+                continue
+            crossings = support.braid_closure_crossings(strands, word)
+            rng.shuffle(crossings)
+            arcs = sorted({a for cross in crossings for a in cross})
+            pds.append(analyze_pd(crossings, basepoint=rng.choice(arcs)))
         for pd in pds:
-            streamed = _build(pd, stream=True)
-            assert to_json(streamed) == to_json(reduce(_build(pd, stream=False)))
-            assert validate(streamed) == []
+            assembled = assemble(pd)
+            cube = reduce(_build(pd))
+            assert validate(assembled) == [], pd
+            for char in (0, 2, 3, 5, 7):
+                assert field_normal_form(assembled, char)[1] == field_normal_form(cube, char)[1], (pd, char)
+            for char in (0, 2, 3):
+                assert support.g0_homology_dims(assembled, char) == support.g0_homology_dims(cube, char), (pd, char)
+            assert schuetz_sz(assembled) == schuetz_sz(cube), pd
+            assert z_equivalent(assembled, cube), pd
+
+
+class TestTangleAssembly:
+    DETERMINISM_SCRIPT = (
+        "import hashlib, support\n"
+        "from khconc import build_complex, parse_braid, to_json\n"
+        "pds = [parse_braid('BR[4; 1,-2,3,1,-2,3,-1,-2,3,2,1]'),\n"
+        "       support.double_pd(parse_braid('BR[2; 1,1,1]'), clasp='A')]\n"
+        "print([hashlib.sha256(to_json(build_complex(pd, cap=14)).encode()).hexdigest() for pd in pds])\n"
+    )
+
+    def test_output_is_byte_identical_across_hash_seeds_and_calls(self):
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(here.parent / "src"), str(here)])
+        runs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            done = subprocess.run(
+                [sys.executable, "-c", self.DETERMINISM_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+            )
+            assert done.returncode == 0, done.stderr
+            runs.append(done.stdout)
+        assert runs[0] == runs[1]
+        pds = [parse_braid("BR[4; 1,-2,3,1,-2,3,-1,-2,3,2,1]"), support.double_pd(parse_braid("BR[2; 1,1,1]"))]
+        assert [len(pd.crossings) for pd in pds] == [11, 14]
+        for pd in pds:
+            assert to_json(build_complex(pd, cap=14)) == to_json(build_complex(pd, cap=14))
+
+    def test_gluing_reproduces_the_frobenius_tables(self):
+        # source loops labelled 1 or X (a set label bit) fed through a cylinder
+        # and through pants (three disks on four seams: chi -1, three circles)
+        # must give the cube's merge and split at G = 1; a set output bit is X
+        sizes = {"crossings": 0, "boundary": 0, "rank": 0}
+        bit = {LABEL_ONE: 0, LABEL_X: 1}
+        pants = [(0, 1), (1, 2), (0, 2), (0, 1)]
+        cylinder = tangle._Gluing(2, [(0, 1), (0, 1)], [0, 1], 1, sizes)
+        assert [cylinder.evaluate(0, label) for label in (0, 1)] == [{0: 1}, {1: 1}]
+        merge = tangle._Gluing(3, pants, [0, 1, 2], 2, sizes)
+        for (l1, l2), rows in MERGE.items():
+            if LABEL_BP not in (l1, l2):
+                expected = {bit[label]: scalar for label, scalar, _ in rows}
+                assert merge.evaluate(0, bit[l1] | bit[l2] << 1) == expected, (l1, l2)
+        split = tangle._Gluing(3, pants, [0, 1, 2], 1, sizes)
+        for label, rows in SPLIT.items():
+            if label != LABEL_BP:
+                expected = {bit[old] | bit[new] << 1: scalar for old, new, scalar, _ in rows}
+                assert split.evaluate(0, bit[label]) == expected, label
+
+    def test_composition_through_a_handle(self):
+        # any two of these matchings of six points close up to one circle, so two
+        # undotted disks glued along m2's three arcs make a once-punctured torus:
+        # h = 2X + G, and X * h = -GX; at G = 1 mask 1 is the dotted disk
+        m1, m2, m3 = ((1, 2), (3, 4), (5, 6)), ((1, 6), (2, 3), (4, 5)), ((1, 4), (2, 5), (3, 6))
+        t = tangle._Tangle(0)
+        assert t.compose(m1, m2, m3, {0: 1}, {0: 1}) == {0: 1, 1: 2}
+        assert t.compose(m1, m2, m3, {1: 1}, {0: 1}) == {1: -1}
+        assert t.compose(m1, m2, m3, {0: 3}, {1: -1}) == {1: 3}
+
+    def test_cut_arc_missing_from_final_boundary_is_internal_error(self):
+        # a PDCode made by hand, basepointed on an arc the diagram lacks, so nothing is cut
+        broken = dataclasses.replace(parse_braid("BR[2; 1,1,1]"), basepoint=99)
+        with pytest.raises(
+            InternalInvariantError,
+            match=r"^khovanov tangle assembly: .*final boundary \[\] is not the cut arc \[99, 7\] "
+            r"\(crossings 3, boundary 0, rank \d+\)",
+        ):
+            assemble(broken)
+
+    def test_odd_genus_count_is_internal_error(self):
+        # one disk bounded by two circles would have genus -1/2
+        sizes = {"crossings": 5, "boundary": 4, "rank": 6}
+        with pytest.raises(
+            InternalInvariantError, match=r"chi 1 and 2 boundary circles \(crossings 5, boundary 4, rank 6\)"
+        ):
+            tangle._Gluing(1, [], [0, 0], 0, sizes)
+
+    def test_negative_g_power_is_internal_error(self):
+        t = tangle._Tangle(3)
+        arc = ((1, 7),)
+        t.boundary = arc[0]
+        t.match, t.weight, t.q = {0: arc, 1: arc}, {0: 0, 1: 1}, {0: 2, 1: 0}
+        t.out, t.inc = {0: {1: {0: 1}}, 1: {}}, {0: {}, 1: {0: None}}
+        with pytest.raises(
+            InternalInvariantError, match=r"negative G-power \(crossings 3, boundary 2, rank 2\)"
+        ):
+            t.close(arc, 3, 0)
 
 
 class TestMirrorAndSum:

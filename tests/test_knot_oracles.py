@@ -5,10 +5,9 @@ propagation-based analysis; s_c is checked against two closed forms, each
 counting resolution circles with its own union-find: Rasmussen's
 s_c = 1 + c - k on positive diagrams and s_0 = -sigma with Traczyk's
 signature formula on reduced alternating diagrams.  A fixed-seed set of
-11-12 crossing braids for both forms is opt-in, as the stretch test is.
+11-12 crossing braids checks both forms on the tangle assembly.
 """
 
-import os
 import random
 
 import pytest
@@ -139,13 +138,6 @@ def _alternating_word(rng):
     return strands, letters
 
 
-stretch = pytest.mark.skipif(
-    not os.environ.get("RUN_STRETCH"),
-    reason="11-12 crossing oracles; enable with RUN_STRETCH=1",
-)
-
-
-@stretch
 @pytest.mark.parametrize("strands, word", _seeded_knots(11, _positive_word))
 def test_positive_braid_closure_s_11_12_crossings(strands, word):
     pd = parse_braid(_braid_text(strands, word))
@@ -155,7 +147,6 @@ def test_positive_braid_closure_s_11_12_crossings(strands, word):
     assert [rasmussen_s(c, ch) for ch in CHARS] == [expected] * len(CHARS)
 
 
-@stretch
 @pytest.mark.parametrize("strands, word", _seeded_knots(12, _alternating_word))
 def test_alternating_braid_closure_s0_11_12_crossings(strands, word):
     pd = parse_braid(_braid_text(strands, word))

@@ -1,7 +1,7 @@
 """Remaining contract details: sum with the empty complex, duality of the
 Rasmussen invariants on knot complexes, divisibility obstructions between
 distinct chains, normal-form triviality against the exact decision, and the
-automatic streaming path on an 11-crossing diagram.
+automatic tangle assembly of an 11-crossing diagram.
 """
 
 import itertools
@@ -119,7 +119,7 @@ def test_filtration_indices_nest():
 
 
 def test_eleven_crossing_auto_scan_torus_knot():
-    # above ten crossings the streaming assembly kicks in automatically;
+    # above ten crossings the tangle assembly kicks in automatically;
     # the positive torus knot class is the shifted rank-one complex
     pd = parse_braid("BR[2; 1,1,1,1,1,1,1,1,1,1,1]")
     c = build_complex(pd, cap=12)

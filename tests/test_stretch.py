@@ -3,11 +3,10 @@
 The 14-crossing diagram is the blackboard double of the standard 3-crossing
 right-trefoil diagram plus a 2-crossing clasp.  Its class is expected to be
 the staircase Sigma_(2): s_2 = 2, s_0 = s_3 = 0 and filtration tuple (0).
-Expensive, so gated behind RUN_STRETCH=1; a budget overrun skips rather
-than fails.
+The tangle assembly builds it in a fraction of a second; an assembly that
+overruns the budget fails the test.
 """
 
-import os
 import time
 
 import pytest
@@ -29,18 +28,14 @@ import support
 BUDGET_SECONDS = 1800
 
 
-@pytest.mark.skipif(
-    not os.environ.get("RUN_STRETCH"),
-    reason="satellite stretch computation; enable with RUN_STRETCH=1",
-)
 def test_stretch_whitehead_double_of_trefoil():
     start = time.perf_counter()
     trefoil = parse_braid("BR[2; 1,1,1]")
     pd = support.double_pd(trefoil, clasp="A")
     assert len(pd.crossings) == 14
     c = build_complex(pd, cap=14)
-    if time.perf_counter() - start > BUDGET_SECONDS:
-        pytest.skip("stretch budget exceeded during assembly")
+    assembly = time.perf_counter() - start
+    assert assembly < BUDGET_SECONDS, f"assembly took {assembly:.1f}s, budget {BUDGET_SECONDS}s"
     assert validate(c) == []
     assert knotlike_check(c)
     assert rasmussen_s(c, 2) == 2
