@@ -50,15 +50,17 @@ def _parse_diagram(token: str, basepoint: int | None) -> khovanov.PDCode | None:
 def _load_complex(token: str, cap: int | None, basepoint: int | None) -> complexes.GradedComplex:
     """The reduced complex of a PD/BR code or of a complex JSON file.
 
-    A file is validated first and reduced only once validate accepts it,
-    since cancelling can turn an invalid complex into a valid one.  The
-    invariants reduce their input again, which is cheap on a reduced
-    complex; the chain-map lattice behind zeq works on the complex as given.
+    A diagram's assembled complex has no unit entries left, so it is
+    returned as built.  A file is validated first and reduced only once
+    validate accepts it, since cancelling can turn an invalid complex into a
+    valid one.  The invariants reduce their input again, which is cheap on a
+    reduced complex; the chain-map lattice behind zeq works on the complex
+    as given.
     """
     stripped = token.strip()
     pd = _parse_diagram(stripped, basepoint)
     if pd is not None:
-        return simplify.reduce(khovanov.build_complex(pd, cap=cap))
+        return khovanov.build_complex(pd, cap=cap)
     if os.path.exists(stripped):
         with open(stripped, "r", encoding="utf-8") as fh:
             c = complexes.from_json(fh.read())
@@ -119,7 +121,7 @@ def _cmd_kh(args) -> int:
     pd = _parse_diagram(pd_token, args.basepoint)
     if pd is None:
         raise InputError(f"kh needs a PD or BR code, got {pd_token!r}")
-    c = simplify.reduce(khovanov.build_complex(pd, cap=args.cap))
+    c = khovanov.build_complex(pd, cap=args.cap)
     if args.json:
         print(complexes.to_json(c, indent=2))
     else:

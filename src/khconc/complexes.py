@@ -9,9 +9,9 @@ and the differential must have tq-degree (1, 0), so c = (b - a) / 2.
 
 Complexes are immutable once constructed; all algebra below (shift, dual,
 sum, tensor) returns fresh values.  ComplexBuilder is the GElem-valued
-staging API for code that edits a complex entry by entry.  Cube emission,
-unit cancellation and summand splitting do not use it: they run on plain
-int scalars with the G-powers implied by the degrees, in a private store in
+staging API for code that edits a complex entry by entry.  Unit
+cancellation and summand splitting do not use it: they run on plain int
+scalars with the G-powers implied by the degrees, in a private store in
 simplify.
 """
 

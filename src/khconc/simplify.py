@@ -7,7 +7,6 @@ Three layers of simplification, in increasing strength:
     It runs on a private store of plain int scalars: the G-power of an entry
     is implied by the degrees, so the input's stored G-powers are checked
     once on loading and GElems are made again only for the result.
-    khovanov's exact cube is emitted into the same store.
   * split_summands: connected components of the generator graph, preceded
     by a deterministic divisibility-driven change of basis that zeroes
     entries when a parallel entry divides them.  Basis changes are
@@ -37,15 +36,13 @@ class NotKnotLikeError(ValueError):
 
 
 class _Store:
-    """The mutable complex behind cube emission, unit cancellation and
-    summand splitting.
+    """The mutable complex behind unit cancellation and summand splitting.
 
     Generators map to their (t, q) degrees and entries to plain int scalars:
     homogeneity fixes the G-power of an entry x -> y as (q_y - q_x)/2, so a
     unit is a +-1 entry with q_y = q_x, and GElems are made only in freeze.
     queue holds the (t_src, src, tgt) keys of unit entries; a key whose
-    entry has since changed or gone is skipped when popped.  khovanov's cube
-    emission writes entries into out and inc directly.
+    entry has since changed or gone is skipped when popped.
     """
 
     __slots__ = ("deg", "out", "inc", "queue")
@@ -63,7 +60,9 @@ class _Store:
         store = cls()
         deg, out, inc, queue = store.deg, store.out, store.inc, store.queue
         for g in complex.generators:
-            store.add_gen(g.id, g.tdeg, g.qdeg)
+            deg[g.id] = (g.tdeg, g.qdeg)
+            out[g.id] = {}
+            inc[g.id] = {}
         for src, tgt, val in complex.iter_entries():
             ts, qs = deg[src]
             qt = deg[tgt][1]
@@ -76,11 +75,6 @@ class _Store:
             if qt == qs and val.scalar in (1, -1):
                 queue.append((ts, src, tgt))
         return store
-
-    def add_gen(self, gid: str, tdeg: int, qdeg: int) -> None:
-        self.deg[gid] = (tdeg, qdeg)
-        self.out[gid] = {}
-        self.inc[gid] = {}
 
     def cancel(self, src: str, tgt: str, unit: int) -> None:
         """Cancel the unit entry src -> tgt by the elimination lemma.

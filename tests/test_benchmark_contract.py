@@ -16,6 +16,8 @@ from khconc import build_ck, chain_map_lattice, parse_pd, reduce, unit_complex, 
 from khconc import intmat, invariants, khovanov, simplify, zeq
 from khconc.invariants import g1_matrix
 
+from cube import exact_cube
+
 BENCH = Path(__file__).resolve().parent.parent / "benchmark"
 RIGHT_TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 
@@ -53,7 +55,8 @@ def test_wrapped_attributes_resolve():
 def test_counters_read_real_outputs():
     spans = load_spans()
     c1 = build_ck(1)
-    built = khovanov.build_complex(parse_pd(RIGHT_TREFOIL))
+    # the exact cube, so that reduce has units to cancel
+    built = exact_cube(parse_pd(RIGHT_TREFOIL))
     calls = {
         "khovanov.build": (khovanov.build_complex, parse_pd(RIGHT_TREFOIL)),
         "simplify.reduce": (reduce, built),

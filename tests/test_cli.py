@@ -5,10 +5,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from khconc import build_ck, build_complex, parse_braid, to_json, unit_complex, shift
+from khconc import build_ck, from_json, parse_braid, reduce, to_json, unit_complex, shift, validate
 from khconc.cli import main
 
 import support
+from cube import exact_cube
 
 
 RIGHT_TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
@@ -74,6 +75,15 @@ def test_kh_json_roundtrips(capsys):
     assert payload["diff"] == []
 
 
+def test_kh_json_is_valid_and_has_no_units_left(capsys):
+    # T(3,5): ten crossings, printed as assembled with no reduce after it
+    code, out, _ = run(capsys, "kh", "BR[3; 1,2,1,2,1,2,1,2,1,2]", "--json")
+    assert code == 0
+    c = from_json(out)
+    assert validate(c) == []
+    assert reduce(c).total_rank == c.total_rank
+
+
 def test_kh_grid(capsys):
     code, out, _ = run(capsys, "kh", RIGHT_TREFOIL)
     assert code == 0
@@ -134,7 +144,7 @@ def test_invalid_file_rejected_before_reduction(tmp_path, capsys):
 def test_unreduced_cube_file_matches_diagram(tmp_path, capsys):
     braid = "BR[2; 1,1,1,1,1,1,1]"
     cube = tmp_path / "t27.json"
-    cube.write_text(to_json(build_complex(parse_braid(braid))))
+    cube.write_text(to_json(exact_cube(parse_braid(braid))))
     commands = [("s", "--char", "0,2,3"), ("sz",), ("zeq", RIGHT_TREFOIL), ("dist", RIGHT_TREFOIL)]
     for command, *rest in commands:
         from_file = run(capsys, command, str(cube), *rest)

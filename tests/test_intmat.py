@@ -4,8 +4,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from khconc import intmat, khovanov, parse_braid, reduce
+from khconc import intmat, parse_braid, reduce
 from khconc.invariants import integer_homology_profile
+
+from cube import exact_cube
 
 
 def rand_matrix(rng, m, n, lo=-6, hi=6):
@@ -165,7 +167,7 @@ def test_smith_form_alternates_echelons():
 
 def test_homology_profile_of_cube_equals_that_of_reduction():
     for word in ("BR[2; 1,1,1,1,1]", "BR[3; 1,2,1,2,1,2,1,2]"):
-        cube = khovanov._build(parse_braid(word))
+        cube = exact_cube(parse_braid(word))
         reduced = reduce(cube)
         assert cube.total_rank > 10 * reduced.total_rank
         profile = {t: v for t, v in integer_homology_profile(cube).items() if v != (0, [])}

@@ -25,9 +25,9 @@ from khconc import (
 )
 from khconc import complexes, invariants, parse_braid, reduce
 from khconc.invariants import integer_homology_profile, tuple_from_filtration
-from khconc.khovanov import _build
 
 import support
+from cube import exact_cube
 
 
 class TestKnotlike:
@@ -69,7 +69,7 @@ class TestKnotlike:
             return profile.get(0) == (1, []) and all(p == (0, []) for t, p in profile.items() if t)
 
         rng = random.Random(12)
-        cases = [_build(parse_braid(w)) for w in ("BR[2; 1,1,1]", "BR[3; 1,-2,1,-2]")]
+        cases = [exact_cube(parse_braid(w)) for w in ("BR[2; 1,1,1]", "BR[3; 1,-2,1,-2]")]
         cases += [support.torsion_h0(), direct_sum(build_ck(1), shift(unit_complex(), 1, 0))]
         for _ in range(12):
             a, b = support.random_knotlike(rng), support.scramble(support.random_knotlike(rng), rng)

@@ -17,7 +17,6 @@ from khconc import (
     mirror_pd,
     parse_braid,
     parse_pd,
-    positive_diagram_degree_check,
     rasmussen_s,
     reduce,
     schuetz_sz,
@@ -28,13 +27,24 @@ from khconc import (
     validate,
     z_equivalent,
 )
-from khconc.khovanov import LABEL_BP, LABEL_ONE, LABEL_X, MERGE, SPLIT, _build, analyze_pd, frobenius_consistent, seifert_circle_count
+from khconc.khovanov import analyze_pd
 from khconc.simplify import field_normal_form
 from khconc import tangle
 from khconc.tangle import assemble
 from khconc.invariants import integer_homology_profile
 
 import support
+from cube import (
+    LABEL_BP,
+    LABEL_ONE,
+    LABEL_X,
+    MERGE,
+    SPLIT,
+    exact_cube,
+    frobenius_consistent,
+    positive_diagram_degree_check,
+    seifert_circle_count,
+)
 
 RIGHT_TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 FIGURE_EIGHT = "PD[X(4,2,5,1),X(8,6,1,5),X(6,3,7,4),X(2,7,3,8)]"
@@ -147,9 +157,9 @@ class TestCubeStructure:
     )
     def test_valid_and_knotlike(self, code):
         pd = parse_pd(code) if code.startswith("PD") else parse_braid(code)
-        c = build_complex(pd)
-        assert validate(c) == []
-        assert knotlike_check(c)
+        for c in (build_complex(pd), exact_cube(pd)):
+            assert validate(c) == []
+            assert knotlike_check(c)
 
     def test_integer_homology_profile_axiom(self):
         c = reduce(build_complex(parse_pd(RIGHT_TREFOIL)))
@@ -183,8 +193,12 @@ class TestCubeStructure:
         pds += [parse_pd(FIGURE_EIGHT)]
         pds += [parse_braid(w) for w in ("BR[3; 1,1,1,-2,1,-2]", "BR[2; 1,1,1,1,1]", "BR[3; 1,2,1,2,1,2,1,2]")]
         pds += [connected_sum_pd(parse_braid("BR[2; 1,1,1]"), parse_braid("BR[2; -1,-1,-1]"))]
+        # the crossingless diagram and the two 10-crossing knots_small jobs, T(3,5) and T(2,5) # -T(2,5)
+        pds += [parse_pd("PD[]"), parse_braid("BR[3; 1,2,1,2,1,2,1,2,1,2]")]
+        pds += [connected_sum_pd(parse_braid("BR[2; 1,1,1,1,1]"), parse_braid("BR[2; -1,-1,-1,-1,-1]"))]
+        assert [len(pd.crossings) for pd in pds[-3:]] == [0, 10, 10]
         rng = random.Random(15)
-        while len(pds) < 38:
+        while len(pds) < 41:
             strands = rng.randint(2, 4)
             word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(1, 9))]
             if not support.braid_is_knot(strands, word):
@@ -195,7 +209,7 @@ class TestCubeStructure:
             pds.append(analyze_pd(crossings, basepoint=rng.choice(arcs)))
         for pd in pds:
             assembled = assemble(pd)
-            cube = reduce(_build(pd))
+            cube = reduce(exact_cube(pd))
             assert validate(assembled) == [], pd
             for char in (0, 2, 3, 5, 7):
                 assert field_normal_form(assembled, char)[1] == field_normal_form(cube, char)[1], (pd, char)
@@ -209,7 +223,7 @@ class TestTangleAssembly:
     DETERMINISM_SCRIPT = (
         "import hashlib, support\n"
         "from khconc import build_complex, parse_braid, to_json\n"
-        "pds = [parse_braid('BR[4; 1,-2,3,1,-2,3,-1,-2,3,2,1]'),\n"
+        "pds = [parse_braid('BR[3; 1,2,1,2,1,2,1,2,1,2]'), parse_braid('BR[4; 1,-2,3,1,-2,3,-1,-2,3,2,1]'),\n"
         "       support.double_pd(parse_braid('BR[2; 1,1,1]'), clasp='A')]\n"
         "print([hashlib.sha256(to_json(build_complex(pd, cap=14)).encode()).hexdigest() for pd in pds])\n"
     )
@@ -226,10 +240,22 @@ class TestTangleAssembly:
             assert done.returncode == 0, done.stderr
             runs.append(done.stdout)
         assert runs[0] == runs[1]
-        pds = [parse_braid("BR[4; 1,-2,3,1,-2,3,-1,-2,3,2,1]"), support.double_pd(parse_braid("BR[2; 1,1,1]"))]
-        assert [len(pd.crossings) for pd in pds] == [11, 14]
+        pds = [parse_braid("BR[3; 1,2,1,2,1,2,1,2,1,2]"), parse_braid("BR[4; 1,-2,3,1,-2,3,-1,-2,3,2,1]")]
+        pds.append(support.double_pd(parse_braid("BR[2; 1,1,1]")))
+        assert [len(pd.crossings) for pd in pds] == [10, 11, 14]
         for pd in pds:
             assert to_json(build_complex(pd, cap=14)) == to_json(build_complex(pd, cap=14))
+
+    def test_importing_the_package_loads_no_assembly_code(self):
+        # build_complex imports tangle on first use, so importing the package
+        # does not compile it where bytecode is not cached
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        script = "import sys, khconc\nprint(sorted(m for m in sys.modules if m.startswith('khconc')))\n"
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "'khconc.khovanov'" in done.stdout
+        assert "khconc.tangle" not in done.stdout
 
     def test_gluing_reproduces_the_frobenius_tables(self):
         # source loops labelled 1 or X (a set label bit) fed through a cylinder

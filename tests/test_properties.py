@@ -11,7 +11,6 @@ from khconc import (
     Generator,
     GradedComplex,
     build_ck,
-    build_complex,
     build_staircase,
     chain_map_lattice,
     direct_sum,
@@ -34,6 +33,7 @@ from khconc import intmat, invariants
 from khconc.invariants import _h0_class_data, g1_matrix, integer_homology_profile
 
 import support
+from cube import exact_cube
 
 
 def small_pool():
@@ -246,7 +246,7 @@ class TestReductionInvariance:
 
     def test_unreduced_cubes(self, monkeypatch):
         for braid in ("BR[2; 1,1,1]", "BR[3; 1,-2,1,-2]", "BR[2; 1,1,1,1,1]", "BR[3; 1,1,1,-2,1,-2]"):
-            cube = build_complex(parse_braid(braid))
+            cube = exact_cube(parse_braid(braid))
             expected = reduction_invariants(reduce(cube))
             assert reduction_invariants(cube) == expected
             with monkeypatch.context() as m:
@@ -261,7 +261,7 @@ class TestReduceMatchesReference:
     def test_unreduced_cubes(self):
         braids = ("BR[2; 1,1,1]", "BR[3; 1,-2,1,-2]", "BR[3; 1,1,1,-2,1,-2]", "BR[2; 1,1,1,1,1]", "BR[3; 1,2,1,2,1,2,1,2]")
         for braid in braids:
-            cube = build_complex(parse_braid(braid))
+            cube = exact_cube(parse_braid(braid))
             assert to_json(reduce(cube)) == to_json(support.reference_reduce(cube)), braid
 
     def test_scrambled_knotlike(self):
