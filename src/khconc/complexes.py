@@ -405,22 +405,23 @@ def from_json(text: str) -> GradedComplex:
 
     def field(obj, key: str, kind, where: str):
         try:
-            return kind(obj[key])
+            x = obj[key]
+            if kind in (int, str) and type(x) is not kind:  # no int() of 0.9 or true, no str() of null
+                raise TypeError(x)
+            return kind(x)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{where}: missing or malformed field {key!r}") from exc
-
-    def integer(x) -> int:
-        if type(x) is not int:  # int() would load JSON 0.9 as 0 and true as 1
-            raise TypeError(x)
-        return x
 
     gens = []
     for i, g in enumerate(field(payload, "generators", list, "complex")):
         where = f"generator {i}"
-        gens.append(Generator(field(g, "id", str, where), field(g, "t", integer, where), field(g, "q", integer, where)))
+        gens.append(Generator(field(g, "id", str, where), field(g, "t", int, where), field(g, "q", int, where)))
     entries = {}
     for i, e in enumerate(field(payload, "diff", list, "complex") if "diff" in payload else []):
         where = f"entry {i}"
-        val = GElem(field(e, "coeff", lambda c: int(str(c)), where), field(e, "gpow", integer, where))
-        entries[(field(e, "from", str, where), field(e, "to", str, where))] = val
+        val = GElem(field(e, "coeff", lambda c: int(str(c)), where), field(e, "gpow", int, where))
+        pair = (field(e, "from", str, where), field(e, "to", str, where))
+        if pair in entries:
+            raise ValueError(f"{where}: duplicate entry {pair[0]}->{pair[1]}")
+        entries[pair] = val
     return GradedComplex(gens, entries)

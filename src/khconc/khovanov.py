@@ -165,6 +165,8 @@ def parse_braid(text: str) -> PDCode:
     for letter in word:
         if letter == 0 or abs(letter) >= strands:
             raise ValueError(f"braid letter {letter} out of range for {strands} strands")
+    if strands > len(word) + 1:  # each letter joins at most two of the strands' components
+        raise ValueError("knots only: this braid closure has more than one component")
     perm = list(range(strands))
     for letter in word:
         i = abs(letter) - 1
@@ -172,16 +174,13 @@ def parse_braid(text: str) -> PDCode:
     seen = {0}
     cursor = 0
     for _ in range(strands):
-        cursor = perm.index(cursor)
+        cursor = perm[cursor]
         seen.add(cursor)
     if len(seen) != strands:
         raise ValueError("knots only: this braid closure has more than one component")
-    next_arc = 1
-    current = []
-    for _ in range(strands):
-        current.append(next_arc)
-        next_arc += 1
-    initial = list(current)
+    initial = list(range(1, strands + 1))
+    current = list(initial)
+    next_arc = strands + 1
     crossings = []
     for letter in word:
         i = abs(letter) - 1

@@ -1,25 +1,22 @@
 """Chain-complex reduction over Z[G] and graded normal forms over F[G].
 
-Three layers of simplification, in increasing strength:
+Three layers of simplification, in increasing strength, all on one private
+store of plain scalars: the G-power of an entry is implied by the degrees,
+so stored G-powers are checked once on loading and GElems are made again
+only for the result.
 
   * cancel_pivot / reduce: Gaussian cancellation of +-1 entries.  This is a
     homotopy equivalence and the only simplification performed over Z[G].
-    It runs on a private store of plain int scalars: the G-power of an entry
-    is implied by the degrees, so the input's stored G-powers are checked
-    once on loading and GElems are made again only for the result.
   * split_summands: connected components of the generator graph, preceded
     by a deterministic divisibility-driven change of basis that zeroes
     entries when a parallel entry divides them.  Basis changes are
     isomorphisms, so the direct sum of the parts is isomorphic to the input.
-    It runs on the same int-scalar store, so its input needs homogeneous
-    entries, and a rejected trial move is undone by its inverse move.
+    A rejected trial move is undone by its inverse move.
   * field_normal_form: over a field F the complex tensored with F[G]
     decomposes into a single free rank-one summand, two-generator pieces
-    F[G] --G^c--> F[G] with c > 0, and an acyclic remainder.  Computed by
-    Gaussian elimination on the entry of least G-power, which divides its
-    whole row and column, taken from a heap of pivot keys; G-powers are
-    read off the quantum degrees, so the input must pass validate, and only
-    field scalars are stored.
+    F[G] --G^c--> F[G] with c > 0, and an acyclic remainder.  Over F every
+    entry is a pivot, so reduce's elimination loop, taking the entry of
+    least G-power first, leaves the free summand and reports the pieces.
 """
 
 from __future__ import annotations
@@ -36,29 +33,33 @@ class NotKnotLikeError(ValueError):
 
 
 class _Store:
-    """The mutable complex behind unit cancellation and summand splitting.
+    """The mutable complex behind elimination and summand splitting.
 
-    Generators map to their (t, q) degrees and entries to plain int scalars:
-    homogeneity fixes the G-power of an entry x -> y as (q_y - q_x)/2, so a
-    unit is a +-1 entry with q_y = q_x, and GElems are made only in freeze.
-    queue holds the (t_src, src, tgt) keys of unit entries; a key whose
-    entry has since changed or gone is skipped when popped.
+    Generators map to their (t, q) degrees and entries to plain scalars:
+    homogeneity fixes the G-power of an entry x -> y as (q_y - q_x)/2, so
+    GElems are made only in freeze.  p selects the coefficients: int
+    scalars over Z (None), Fractions over Q (0) or residues mod a prime p.
+    A pivot is an entry the elimination lemma may cancel: over Z a +-1
+    entry with q_y = q_x, over a field any entry.  heap holds the
+    (q_y - q_x, t_x, x, y) keys of pivots, pushed when an entry becomes one;
+    a key whose entry has since changed or gone is skipped when popped.
     """
 
-    __slots__ = ("deg", "out", "inc", "queue")
+    __slots__ = ("deg", "out", "inc", "heap", "p")
 
-    def __init__(self):
+    def __init__(self, p: int | None):
         self.deg: dict[str, tuple[int, int]] = {}
-        self.out: dict[str, dict[str, int]] = {}
-        self.inc: dict[str, dict[str, int]] = {}
-        self.queue: list[tuple[int, str, str]] = []
+        self.out: dict[str, dict[str, int | Fraction]] = {}
+        self.inc: dict[str, dict[str, int | Fraction]] = {}
+        self.heap: list[tuple[int, int, str, str]] = []
+        self.p = p
 
     @classmethod
-    def load(cls, complex: GradedComplex, layer: str) -> "_Store":
-        """The complex as scalars; an entry whose G-power its degrees do not
-        force raises ValueError naming the layer."""
-        store = cls()
-        deg, out, inc, queue = store.deg, store.out, store.inc, store.queue
+    def load(cls, complex: GradedComplex, layer: str, p: int | None = None) -> "_Store":
+        """The complex as scalars, zero residues dropped; an entry whose
+        G-power its degrees do not force raises ValueError naming the layer."""
+        store = cls(p)
+        deg, out, inc, heap = store.deg, store.out, store.inc, store.heap
         for g in complex.generators:
             deg[g.id] = (g.tdeg, g.qdeg)
             out[g.id] = {}
@@ -71,31 +72,43 @@ class _Store:
                     f"{layer}: entry {src}->{tgt} = {val!r} is inhomogeneous: "
                     f"qdeg {qs} -> {qt} forces G-power ({qt} - {qs})/2"
                 )
-            out[src][tgt] = inc[tgt][src] = val.scalar
-            if qt == qs and val.scalar in (1, -1):
-                queue.append((ts, src, tgt))
+            v = val.scalar if p is None else Fraction(val.scalar) if p == 0 else val.scalar % p
+            if v:
+                out[src][tgt] = inc[tgt][src] = v
+                if store.pivot(v, qt - qs):
+                    heap.append((qt - qs, ts, src, tgt))
         return store
 
-    def cancel(self, src: str, tgt: str, unit: int) -> None:
-        """Cancel the unit entry src -> tgt by the elimination lemma.
+    def pivot(self, v: int | Fraction, dq: int) -> bool:
+        """Whether an entry of scalar v and qdeg change dq is a pivot."""
+        return self.p is not None or (dq == 0 and (v == 1 or v == -1))
+
+    def cancel(self, src: str, tgt: str) -> None:
+        """Cancel the pivot src -> tgt by the elimination lemma.
 
         Every d(a, z) with a -> tgt and src -> z becomes
-        d(a, z) - d(a, tgt) * unit^-1 * d(src, z), then src and tgt go.
-        Entries that become units are queued.
+        d(a, z) - d(a, tgt) * d(src, tgt)^-1 * d(src, z), then src and tgt go.
+        Keys of entries that become pivots are pushed.
         """
-        deg, out, inc, queue = self.deg, self.out, self.inc, self.queue
-        col = [(z, -unit * x) for z, x in out[src].items() if z != tgt]
+        deg, out, inc, heap, p, pivot = self.deg, self.out, self.inc, self.heap, self.p, self.pivot
+        u = out[src][tgt]
+        inverse = u if p is None else 1 / u if p == 0 else pow(u, -1, p)
+        col = [(z, -inverse * x) for z, x in out[src].items() if z != tgt]
         for a, y in inc[tgt].items():
             if a == src:
                 continue
             row = out[a]
             ta, qa = deg[a]
             for z, x in col:
-                v = row.get(z, 0) + y * x
+                old = row.get(z, 0)
+                v = old + y * x
+                if p:
+                    v %= p
                 if v:
                     row[z] = inc[z][a] = v
-                    if (v == 1 or v == -1) and deg[z][1] == qa:
-                        heapq.heappush(queue, (ta, a, z))
+                    dq = deg[z][1] - qa
+                    if not (old and pivot(old, dq)) and pivot(v, dq):
+                        heapq.heappush(heap, (dq, ta, a, z))
                 else:
                     del row[z], inc[z][a]
         for gid in (src, tgt):
@@ -105,22 +118,24 @@ class _Store:
                 del out[a][gid]
             del deg[gid]
 
-    def cancel_units(self) -> None:
-        """Cancel unit entries until none remain.
+    def eliminate(self) -> list[tuple[int, int, int]]:
+        """Cancel pivots until none remain; returns (t_x, q_x, q_y - q_x) of
+        each cancelled pair x -> y in order.
 
-        Pivots are taken lowest homological degree first, then by source and
-        target id, so the output representative is reproducible byte for
-        byte.  The queue holds a key for every unit entry, so the least
-        valid key popped is the least unit entry present.
+        The least pivot present goes first: least qdeg change (always 0 over
+        Z), then lowest homological degree, then ids, so the output is
+        reproducible byte for byte.
         """
-        queue, out = self.queue, self.out
-        heapq.heapify(queue)
-        while queue:
-            _, src, tgt = heapq.heappop(queue)
-            row = out.get(src)
-            val = row.get(tgt) if row is not None else None
-            if val == 1 or val == -1:
-                self.cancel(src, tgt, val)
+        heap, out, deg = self.heap, self.out, self.deg
+        heapq.heapify(heap)
+        cancelled = []
+        while heap:
+            dq, t, src, tgt = heapq.heappop(heap)
+            v = out.get(src, {}).get(tgt)
+            if v and self.pivot(v, dq):
+                cancelled.append((t, deg[src][1], dq))
+                self.cancel(src, tgt)
+        return cancelled
 
     def freeze(self) -> GradedComplex:
         deg = self.deg
@@ -149,9 +164,9 @@ def cancel_pivot(complex: GradedComplex, entry: tuple[str, str]) -> GradedComple
     val = store.out.get(src, {}).get(tgt)
     if val is None:
         raise KeyError(f"no such entry {src!r}->{tgt!r}")
-    if val not in (1, -1) or store.deg[src][1] != store.deg[tgt][1]:
+    if not store.pivot(val, store.deg[tgt][1] - store.deg[src][1]):
         raise ValueError(f"pivot {src!r}->{tgt!r} = {complex.entry(src, tgt)!r} is not a unit of Z[G]")
-    store.cancel(src, tgt, val)
+    store.cancel(src, tgt)
     return store.freeze()
 
 
@@ -161,7 +176,7 @@ def reduce(complex: GradedComplex) -> GradedComplex:
     An entry whose G-power its degrees do not force raises ValueError.
     """
     store = _Store.load(complex, "reduce")
-    store.cancel_units()
+    store.eliminate()
     return store.freeze()
 
 
@@ -285,11 +300,24 @@ class NormalForm:
     pieces: tuple[tuple[int, int, int], ...]
 
 
+# Miller-Rabin to the first 13 prime bases is exact below this bound (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def check_characteristic(characteristic: int) -> None:
-    if characteristic == 0:
+    n = characteristic
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"characteristic must be below {_PRIME_BOUND}, got {n}")
+    if n == 0 or n in _PRIME_BASES:
         return
-    if characteristic < 2 or any(characteristic % d == 0 for d in range(2, int(characteristic**0.5) + 1)):
-        raise ValueError(f"characteristic must be 0 or a prime, got {characteristic}")
+    if n > 2 and all(n % a for a in _PRIME_BASES):
+        r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^r * d, d odd
+        d = (n - 1) >> r
+        if all(pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(r)) for a in _PRIME_BASES):
+            return
+    raise ValueError(f"characteristic must be 0 or a prime, got {n}")
 
 
 def field_normal_form(
@@ -298,76 +326,29 @@ def field_normal_form(
     """Gaussian elimination of C (x) F[G] down to its decomposition.
 
     The complex must pass validate: G-powers are read off the degrees, an
-    entry v -> w being lambda*G^c with c = (q_w - q_v)/2, so only the field
-    scalars lambda are stored.  Repeatedly pick the entry of least G-power
-    (ties by homological degree, then ids; the keys depend only on degrees
-    and ids, so a heap with every entry's key, pushed as elimination creates
-    entries, yields them in order); it divides every entry in its row
-    and column, so the elimination lemma removes v and w and subtracts
-    d(a,w) d(v,w)^-1 d(v,b) from every d(a,b).  A pair with c > 0 is a piece
-    F[G] --G^c--> F[G].  Exactly one generator must survive, in homological
-    degree 0, and its quantum degree is s.
+    entry v -> w being lambda*G^c with c = (q_w - q_v)/2, so the store holds
+    only the field scalars lambda.  The entry of least G-power divides its
+    whole row and column, so it is cancelled first; a cancelled pair with
+    c > 0 is a piece F[G] --G^c--> F[G].  Exactly one generator must
+    survive, in homological degree 0, and its quantum degree is s.
 
     Returns the normal form as a complex over Z[G] (generator "s" and pieces
     "p<i>a" -> "p<i>b" of value G^c) together with its NormalForm data.
     """
     check_characteristic(characteristic)
     _require_valid(complex, "field_normal_form")
-    p = characteristic
-    if p == 0:
-        scalar, inverse = Fraction, (lambda x: 1 / x)
-    else:
-        scalar, inverse = (lambda n: n % p), (lambda x: pow(x, -1, p))
-
-    t = {g.id: g.tdeg for g in complex.generators}
-    q = {g.id: g.qdeg for g in complex.generators}
-    out: dict[str, dict[str, int | Fraction]] = {gid: {} for gid in t}
-    inc: dict[str, dict[str, int | Fraction]] = {gid: {} for gid in t}
-    for src, tgt, val in complex.iter_entries():
-        x = scalar(val.scalar)
-        if x:
-            out[src][tgt] = inc[tgt][src] = x
-
-    # pivot keys of every entry present; keys of eliminated entries are skipped
-    heap = [(q[w] - q[v], t[v], v, w) for v, row in out.items() for w in row]
-    heapq.heapify(heap)
-    pieces: list[tuple[int, int, int]] = []
-    while heap:
-        dq, _, v, w = heapq.heappop(heap)
-        if w not in out.get(v, ()):
-            continue
-        lam_inv = inverse(out[v][w])
-        col = [(b, x * lam_inv) for b, x in out[v].items() if b != w]
-        for a, y in inc[w].items():
-            if a == v:
-                continue
-            row = out[a]
-            for b, x in col:
-                z = scalar(row.get(b, 0) - y * x)
-                if z:
-                    if b not in row:
-                        heapq.heappush(heap, (q[b] - q[a], t[a], a, b))
-                    row[b] = inc[b][a] = z
-                else:
-                    row.pop(b, None)
-                    inc[b].pop(a, None)
-        if dq:
-            pieces.append((t[v], q[v], dq // 2))
-        for gid in (v, w):
-            for b in out.pop(gid):
-                inc[b].pop(gid, None)
-            for a in inc.pop(gid):
-                out[a].pop(gid, None)
-
-    free = sorted(out, key=lambda g: (t[g], q[g], g))
     if complex.total_rank == 0:
         return GradedComplex([], {}), NormalForm(s=None, pieces=())
-    if len(free) != 1 or t[free[0]] != 0:
+    store = _Store.load(complex, "field_normal_form", characteristic)
+    pieces = tuple(sorted((t, q, dq // 2) for t, q, dq in store.eliminate() if dq))
+    deg = store.deg
+    free = sorted(deg, key=lambda g: (deg[g], g))
+    if len(free) != 1 or deg[free[0]][0] != 0:
         raise NotKnotLikeError(
             f"input not knot-like over characteristic {characteristic}: "
-            f"{len(free)} free summands at degrees {[(t[g], q[g]) for g in free]}"
+            f"{len(free)} free summands at degrees {[deg[g] for g in free]}"
         )
-    nf = NormalForm(s=q[free[0]], pieces=tuple(sorted(pieces)))
+    nf = NormalForm(s=deg[free[0]][1], pieces=pieces)
     new_gens = [Generator("s", 0, nf.s)]
     new_entries = {}
     for i, (a, bq, c) in enumerate(nf.pieces):

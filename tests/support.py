@@ -12,8 +12,10 @@ from fractions import Fraction
 
 from khconc import ComplexBuilder, GElem, Generator, GradedComplex, direct_sum, generator_cycle, unit_complex
 from khconc import intmat
+from khconc.complexes import _require_valid
 from khconc.invariants import _h0_class_data, g1_matrix, tuple_from_filtration
 from khconc.khovanov import PDCode
+from khconc.simplify import NormalForm, NotKnotLikeError, check_characteristic
 from khconc.zeq import admissible_pairs
 
 
@@ -260,6 +262,92 @@ def reference_image_gcd(source: GradedComplex, target: GradedComplex, qdegree: i
     beta = dict(zip(tsrcs, phi))
     weight = [alpha.get(x, 0) * beta.get(y, 0) for x, y in pairs]
     return math.gcd(*(sum(u * w for u, w in zip(vec, weight)) for vec in basis))
+
+
+# field_normal_form with its own scalar dicts, pivot heap and elimination loop,
+# kept as the oracle for the one built on simplify._Store
+def reference_field_normal_form(
+    complex: GradedComplex, characteristic: int
+) -> tuple[GradedComplex, NormalForm]:
+    """Gaussian elimination of C (x) F[G] down to its decomposition.
+
+    The complex must pass validate: G-powers are read off the degrees, an
+    entry v -> w being lambda*G^c with c = (q_w - q_v)/2, so only the field
+    scalars lambda are stored.  Repeatedly pick the entry of least G-power
+    (ties by homological degree, then ids; the keys depend only on degrees
+    and ids, so a heap with every entry's key, pushed as elimination creates
+    entries, yields them in order); it divides every entry in its row
+    and column, so the elimination lemma removes v and w and subtracts
+    d(a,w) d(v,w)^-1 d(v,b) from every d(a,b).  A pair with c > 0 is a piece
+    F[G] --G^c--> F[G].  Exactly one generator must survive, in homological
+    degree 0, and its quantum degree is s.
+
+    Returns the normal form as a complex over Z[G] (generator "s" and pieces
+    "p<i>a" -> "p<i>b" of value G^c) together with its NormalForm data.
+    """
+    check_characteristic(characteristic)
+    _require_valid(complex, "field_normal_form")
+    p = characteristic
+    if p == 0:
+        scalar, inverse = Fraction, (lambda x: 1 / x)
+    else:
+        scalar, inverse = (lambda n: n % p), (lambda x: pow(x, -1, p))
+
+    t = {g.id: g.tdeg for g in complex.generators}
+    q = {g.id: g.qdeg for g in complex.generators}
+    out: dict[str, dict[str, int | Fraction]] = {gid: {} for gid in t}
+    inc: dict[str, dict[str, int | Fraction]] = {gid: {} for gid in t}
+    for src, tgt, val in complex.iter_entries():
+        x = scalar(val.scalar)
+        if x:
+            out[src][tgt] = inc[tgt][src] = x
+
+    # pivot keys of every entry present; keys of eliminated entries are skipped
+    heap = [(q[w] - q[v], t[v], v, w) for v, row in out.items() for w in row]
+    heapq.heapify(heap)
+    pieces: list[tuple[int, int, int]] = []
+    while heap:
+        dq, _, v, w = heapq.heappop(heap)
+        if w not in out.get(v, ()):
+            continue
+        lam_inv = inverse(out[v][w])
+        col = [(b, x * lam_inv) for b, x in out[v].items() if b != w]
+        for a, y in inc[w].items():
+            if a == v:
+                continue
+            row = out[a]
+            for b, x in col:
+                z = scalar(row.get(b, 0) - y * x)
+                if z:
+                    if b not in row:
+                        heapq.heappush(heap, (q[b] - q[a], t[a], a, b))
+                    row[b] = inc[b][a] = z
+                else:
+                    row.pop(b, None)
+                    inc[b].pop(a, None)
+        if dq:
+            pieces.append((t[v], q[v], dq // 2))
+        for gid in (v, w):
+            for b in out.pop(gid):
+                inc[b].pop(gid, None)
+            for a in inc.pop(gid):
+                out[a].pop(gid, None)
+
+    free = sorted(out, key=lambda g: (t[g], q[g], g))
+    if complex.total_rank == 0:
+        return GradedComplex([], {}), NormalForm(s=None, pieces=())
+    if len(free) != 1 or t[free[0]] != 0:
+        raise NotKnotLikeError(
+            f"input not knot-like over characteristic {characteristic}: "
+            f"{len(free)} free summands at degrees {[(t[g], q[g]) for g in free]}"
+        )
+    nf = NormalForm(s=q[free[0]], pieces=tuple(sorted(pieces)))
+    new_gens = [Generator("s", 0, nf.s)]
+    new_entries = {}
+    for i, (a, bq, c) in enumerate(nf.pieces):
+        new_gens += [Generator(f"p{i}a", a, bq), Generator(f"p{i}b", a + 1, bq + 2 * c)]
+        new_entries[(f"p{i}a", f"p{i}b")] = GElem(1, c)
+    return GradedComplex(new_gens, new_entries), nf
 
 
 def random_knotlike(rng, max_pieces=2):

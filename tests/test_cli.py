@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -229,8 +230,19 @@ def test_deterministic_output(capsys):
         ("s", {"generators": [{"id": "a", "t": 0, "q": 1}]}),
         ("s", {"generators": [{"id": "a", "t": 0.0, "q": 0}]}),
         ("s", {"generators": [{"id": "a", "t": 0, "q": False}]}),
+        (
+            "validate",
+            {
+                "generators": [{"id": "a", "t": 0, "q": 0}, {"id": "b", "t": 1, "q": 0}],
+                "diff": [
+                    {"from": "a", "to": "b", "coeff": "1", "gpow": 0},
+                    {"from": "a", "to": "b", "coeff": "-1", "gpow": 0},
+                ],
+            },
+        ),
+        ("s", {"generators": [{"id": None, "t": 0, "q": 0}]}),
     ],
-    ids=["missing-field", "missing-field-validate", "d-squared", "odd-q", "float-t", "bool-q"],
+    ids=["missing-field", "missing-field-validate", "d-squared", "odd-q", "float-t", "bool-q", "duplicate-entry", "null-id"],
 )
 def test_malformed_complex_file_is_exit_one(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
@@ -328,6 +340,17 @@ BR_TEXT = st.builds(
     st.lists(st.integers(-5, 5), max_size=7).map(lambda w: ",".join(map(str, w))),
 )
 DIAGRAM_TEXT = st.one_of(PD_TEXT, BR_TEXT, st.text(alphabet="PDBRX[](),; 0123456789-", max_size=20))
+# small values, primes and composites up to 10^30, and values whose check must
+# neither trial-divide nor take a float square root: 2^61 - 1 and 10^18 + 3
+# are prime, 10^401 + 1 is past the float range
+CHAR_TEXT = st.lists(
+    st.one_of(st.integers(-3, 50), st.integers(0, 10**30), st.sampled_from([2**61 - 1, 10**18 + 3, 10**401 + 1])),
+    max_size=3,
+).map(lambda cs: ",".join(map(str, cs)))
+
+
+def _expire(signum, frame):
+    raise TimeoutError("khconc ran for more than 10 s")
 
 
 @settings(max_examples=300, deadline=None)
@@ -336,14 +359,22 @@ DIAGRAM_TEXT = st.one_of(PD_TEXT, BR_TEXT, st.text(alphabet="PDBRX[](),; 0123456
     text=DIAGRAM_TEXT,
     basepoint=st.one_of(st.none(), st.integers(-2, 12)),
     cap=st.one_of(st.none(), st.integers(-1, 8)),
+    chars=CHAR_TEXT,
 )
-def test_fuzzed_diagram_exits_cleanly(command, text, basepoint, cap):
+def test_fuzzed_diagram_exits_cleanly(command, text, basepoint, cap, chars):
     argv = [command, text]
     if basepoint is not None:
         argv += ["--basepoint", str(basepoint)]
     if cap is not None:
         argv += ["--cap", str(cap)]
     if command == "s":
-        argv += ["--char", "0,2,3"]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv) in (0, 1, 2)
+        argv += [f"--char={chars}"]
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2)

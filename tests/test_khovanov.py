@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,19 @@ class TestBraids:
             parse_braid("BR[2;]")
         with pytest.raises(ValueError):
             parse_braid("BR[3; 1,1]")
+
+    def test_strand_count_is_checked_before_allocating(self):
+        # the smaller count first, so that code which allocates per strand fails
+        # before it reaches the larger one
+        for strands in (10**6, 10**7):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="knots only"):
+                    parse_braid(f"BR[{strands}; 1]")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (strands, peak)
 
     def test_bad_word(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from khconc import (
     build_ck,
     build_staircase,
     chain_map_lattice,
+    connected_sum_pd,
     direct_sum,
     distance_d,
     dual,
@@ -285,3 +286,55 @@ class TestReduceMatchesReference:
     def test_invalid_reducing_to_unit(self):
         c = support.invalid_reducing_to_unit()
         assert to_json(reduce(c)) == to_json(support.reference_reduce(c))
+
+    def test_entry_that_becomes_a_unit(self):
+        # cancelling a -> y turns the entry b -> z from 2 into a unit, which must be cancelled too
+        gens = [Generator(g, t, 0) for g, t in (("a", 0), ("b", 0), ("y", 1), ("z", 1))]
+        c = GradedComplex(gens, {("a", "y"): GElem(1), ("b", "y"): GElem(1), ("a", "z"): GElem(1), ("b", "z"): GElem(2)})
+        assert reduce(c).total_rank == support.reference_reduce(c).total_rank == 0
+
+
+class TestFieldNormalFormMatchesReference:
+    """field_normal_form on the elimination store against its former loop
+    with private dicts and heap: the same complex, the same NormalForm, or
+    the same exception type, in characteristics 0, 2, 3, 5 and 7."""
+
+    CHARS = (0, 2, 3, 5, 7)
+
+    @staticmethod
+    def outcome(fn, c, char):
+        try:
+            out, nf = fn(c, char)
+        except Exception as exc:
+            return type(exc)
+        return to_json(out), nf
+
+    def assert_same(self, c):
+        for char in self.CHARS:
+            got = self.outcome(field_normal_form, c, char)
+            assert got == self.outcome(support.reference_field_normal_form, c, char), char
+
+    def test_knots_small_cubes(self):
+        # the nine knots_small knots: 3_1, 4_1, T(2,5), 6_2, T(2,7), T(3,4), T(2,9), T(3,5), T(2,5) # -T(2,5)
+        words = ("1,1,1", "1,-2,1,-2", "1,1,1,1,1", "1,1,1,-2,1,-2", "1,1,1,1,1,1,1", "1,2,1,2,1,2,1,2")
+        words += ("1,1,1,1,1,1,1,1,1", "1,2,1,2,1,2,1,2,1,2")
+        pds = [parse_braid(f"BR[{3 if '2' in w else 2}; {w}]") for w in words]
+        pds.append(connected_sum_pd(parse_braid("BR[2; 1,1,1,1,1]"), parse_braid("BR[2; -1,-1,-1,-1,-1]")))
+        for pd in pds:
+            self.assert_same(exact_cube(pd))
+
+    def test_scrambled_knotlike(self):
+        rng = random.Random(37)
+        for _ in range(200):
+            self.assert_same(support.scramble(support.random_knotlike(rng, max_pieces=4), rng, moves=12))
+
+    def test_scrambled_tensor_products(self):
+        rng = random.Random(41)
+        for _ in range(30):
+            a, b = (support.random_knotlike(rng, max_pieces=3) for _ in range(2))
+            self.assert_same(support.scramble(tensor(a, b), rng, moves=20))
+
+    def test_invalid_and_not_knotlike(self):
+        for c in (support.invalid_reducing_to_unit(), support.torsion_h0(), support.acyclic_square(), GradedComplex([], {})):
+            self.assert_same(c)
+

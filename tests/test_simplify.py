@@ -209,6 +209,20 @@ class TestFieldNormalForm:
         with pytest.raises(ValueError):
             field_normal_form(unit_complex(), 4)
 
+    def test_characteristic_check_is_exact_and_bounded(self):
+        from khconc.simplify import check_characteristic
+
+        for p in (10**401 + 1, 3317044064679887385961981):
+            with pytest.raises(ValueError, match="below 3317044064679887385961981"):
+                check_characteristic(p)
+        # strong pseudoprimes to the first 7, 9 and 12 prime bases; Carmichael numbers
+        for n in (341550071728321, 3825123056546413051, 318665857834031151167461, 561, 41041, 1, -3):
+            with pytest.raises(ValueError, match="0 or a prime"):
+                check_characteristic(n)
+        for p in (0, 2, 41, 43, 2**61 - 1, 10**18 + 3, 10**24 + 7):
+            check_characteristic(p)
+        assert field_normal_form(unit_complex(qdeg=4), 2**61 - 1)[1].s == 4
+
     def test_not_knotlike_detected(self):
         c = acyclic_square()
         with pytest.raises(NotKnotLikeError):
