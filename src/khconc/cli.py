@@ -129,23 +129,16 @@ def _cmd_kh(args) -> int:
     return 0
 
 
-def _resolve_input(args):
-    token = getattr(args, "complex", None) or args.input
-    if token is None:
-        raise InputError("no input given (positional PD/BR/path or --complex FILE)")
-    return token
-
-
 def _cmd_s(args) -> int:
     chars = _parse_chars(args.char)
-    c = _load_complex(_resolve_input(args), args.cap, args.basepoint)
+    c = _load_complex(args.input, args.cap, args.basepoint)
     values = [f"s_{ch} = {invariants.rasmussen_s(c, ch)}" for ch in chars]
     print(", ".join(values))
     return 0
 
 
 def _cmd_sz(args) -> int:
-    c = _load_complex(_resolve_input(args), args.cap, args.basepoint)
+    c = _load_complex(args.input, args.cap, args.basepoint)
     t = invariants.schuetz_sz(c)
     print(f"{t}, gl = {t.gl}")
     return 0
@@ -221,15 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kh)
 
     p = sub.add_parser("s", help="Rasmussen invariants per characteristic")
-    p.add_argument("input", nargs="?")
+    p.add_argument("input")
     p.add_argument("--char", default="0", help="comma separated, each 0 or prime")
-    p.add_argument("--complex", help="complex JSON file (alternative to the positional input)")
     add_common(p)
     p.set_defaults(func=_cmd_s)
 
     p = sub.add_parser("sz", help="quantum filtration tuple and gl")
-    p.add_argument("input", nargs="?")
-    p.add_argument("--complex", help="complex JSON file (alternative to the positional input)")
+    p.add_argument("input")
     add_common(p)
     p.set_defaults(func=_cmd_sz)
 

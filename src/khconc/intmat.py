@@ -1,14 +1,13 @@
-"""Exact integer matrix routines: kernels, kernel images, solutions, invariant factors.
+"""Exact integer matrix routines: kernels, solutions, invariant factors.
 
 Matrices are plain lists of row lists of Python ints, so every computation
 is arbitrary precision.  All elimination is one routine, _echelon, on rows:
 a row is one Python list, so adding a multiple of one row to another is a
 single list comprehension, and entries past the echelon width ride along.
 Kernels and solutions pass each column of A followed by a unit vector, so a
-column operation on A moves the transform with it; kernel_image_gcd needs
-no transform and passes each column followed by one weight entry.  Pivot
-choices are fixed (smallest absolute value, then lowest index), so all
-outputs are deterministic.
+column operation on A moves the transform with it.  Pivot choices are fixed
+(smallest absolute value, then lowest index), so all outputs are
+deterministic.
 """
 
 from __future__ import annotations
@@ -84,20 +83,6 @@ def kernel_basis(a: list[list[int]], ncols: int | None = None) -> list[list[int]
     for row in rows:
         del row[:m]
     return rows
-
-
-def kernel_image_gcd(a: list[list[int]], w: list[int]) -> int:
-    """The generator g >= 0 of {w . x : A x = 0} = g Z, with no kernel basis.
-
-    Echelon the columns of [A; w], w last, with nothing appended.  Column
-    operations keep the image of the kernel under w, and once the A part is
-    echelon the columns with zero A part have the kernel as their span, so
-    the pivot that lands in the w position is g (0 if none does).
-    """
-    m = len(a)
-    rows = [[*col, x] for col, x in zip(zip(*a), w)] if a else [[x] for x in w]
-    r = _echelon(rows, m + 1)
-    return rows[r - 1][m] if r and not any(rows[r - 1][:m]) else 0
 
 
 def solve(a: list[list[int]], b: list[int]) -> list[int] | None:

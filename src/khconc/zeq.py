@@ -10,21 +10,27 @@ generator class of the target; lambda is linear on the lattice, and a
 Z-isomorphism of degree Q exists if and only if the image subgroup
 lambda(lattice) = g Z has g = 1.  No enumeration of maps is needed.
 
-g is found without a basis of the lattice: unknowns with a +-1 coefficient
-are substituted away on sparse equations, and the small remainder is
-column-echeloned together with the weight of lambda.  A kernel basis of the
-whole system is computed only if ChainMapLattice.basis is read.
+g is found without a basis of the lattice, by unimodular column operations
+on the sparse equations with the weight of lambda as one more row.  Each
+equation is reduced by Euclid's algorithm on its columns until one
+coefficient a stands alone on an unknown u; then a x_u = 0 forces x_u = 0,
+and u is dropped.  A +-1 pivot finishes its equation in one round, as in
+Bar-Natan's cancellation.  Once no equation is left every unknown is free,
+so g is the gcd of what remains of the weight.  A kernel basis of the whole
+system is computed only if ChainMapLattice.basis is read.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter, defaultdict, deque
+import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from . import intmat
 from .complexes import GElem, GradedComplex, InternalInvariantError, _require_valid, tensor, dual
 from .invariants import _h0_class_data, _reduced
+from .simplify import _add
 
 # (t = 0 ids, class covector, generator cycle, degree-0 matrix at G = 1),
 # as _h0_class_data returns it
@@ -49,10 +55,11 @@ class ChainMapLattice:
     pairs[i] is the (source id, target id) generator pair of unknown i.
     image_gcd generates the subgroup {lambda(f)} of Z, where lambda(f) is the
     multiplier that f induces on H_0(. at G=1): the target's class covector
-    applied to the image of the source's generator cycle.  witness() gives
-    one chain map f with lambda(f) = image_gcd.  basis, integer kernel
-    vectors of the chain-map equations, is computed only when it is read;
-    image_gcd does not need it.
+    applied to the image of the source's generator cycle.  It is the gcd of
+    what _eliminate leaves of the weight of lambda.  witness() gives one chain
+    map f with lambda(f) = image_gcd by undoing _eliminate's column
+    operations.  basis, integer kernel vectors of the chain-map equations,
+    is computed only when it is read; image_gcd does not need it.
     """
 
     qdegree: int
@@ -61,9 +68,9 @@ class ChainMapLattice:
     # the chain-map equations and the weight of lambda, as built
     _equations: list[_Form] = field(repr=False)
     _weight: _Form = field(repr=False)
-    # _substitute's steps, remaining equations and remaining weight
-    _steps: list[tuple[int, _Form]] = field(repr=False)
-    _remainder: tuple[list[_Form], _Form] = field(repr=False)
+    # _eliminate's column operations and what is left of the weight
+    _steps: list[tuple[int, int, int]] = field(repr=False)
+    _rest: _Form = field(repr=False)
 
     @functools.cached_property
     def basis(self) -> list[list[int]]:
@@ -80,23 +87,25 @@ class ChainMapLattice:
     def witness(self) -> dict[tuple[str, str], int]:
         """One chain map f with lambda(f) = image_gcd, as pair -> coefficient.
 
-        One integer solution of the remainder, extended to the substituted
-        unknowns in reverse order; it is checked against every chain-map
-        equation and the weight before it is returned.
+        Extended Euclid over the rest of the weight gives free values with
+        lambda = image_gcd; the column operations are then undone in reverse
+        order.  The map is checked against every chain-map equation and the
+        weight before it is returned.
         """
-        unknowns, a, w = _dense(*self._remainder)
-        x = intmat.solve(a + [w], [0] * len(a) + [self.image_gcd])
-        values = dict(zip(unknowns, x or []))
-        for u, eq in reversed(self._steps):
-            values[u] = -eq[u] * sum(c * values.get(v, 0) for v, c in eq.items() if v != u)
+        values: dict[int, int] = {}
+        g = 0
+        for v, c in self._rest.items():
+            s, t = _bezout(g, c)
+            values = {u: s * x for u, x in values.items()}
+            values[v], g = t, s * g + t * c
+        for u, v, q in reversed(self._steps):
+            values[u] = values.get(u, 0) - q * values.get(v, 0)
 
         def apply(form: _Form) -> int:
             return sum(c * values.get(v, 0) for v, c in form.items())
 
         problem = None
-        if x is None:
-            problem = f"the remainder has no solution with lambda = {self.image_gcd}"
-        elif any(map(apply, self._equations)):
+        if any(map(apply, self._equations)):
             problem = "the witness is not a chain map"
         elif apply(self._weight) != self.image_gcd:
             problem = f"the witness has lambda = {apply(self._weight)}, not {self.image_gcd}"
@@ -106,10 +115,18 @@ class ChainMapLattice:
                 problem,
                 unknowns=len(self.pairs),
                 equations=len(self._equations),
-                remainder_unknowns=len(unknowns),
-                remainder_equations=len(a),
+                column_operations=len(self._steps),
             )
         return {self.pairs[i]: values[i] for i in sorted(values) if values[i]}
+
+
+def _bezout(a: int, b: int) -> tuple[int, int]:
+    """(s, t) with s a + t b = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, s0, s1, t0, t1 = b, a - q * b, s1, s0 - q * s1, t1, t0 - q * t1
+    return (s0, t0) if a >= 0 else (-s0, -t0)
 
 
 def admissible_pairs(
@@ -176,87 +193,45 @@ def _lattice(
     weight = {
         i: alpha[x] * beta[y] for i, (x, y) in enumerate(pairs) if alpha.get(x) and beta.get(y)
     }
-    steps, rest, rest_weight = _substitute(equations, weight)
-    _, a, w = _dense(rest, rest_weight)
-    return ChainMapLattice(
-        qdegree, pairs, intmat.kernel_image_gcd(a, w), equations, weight, steps, (rest, rest_weight)
-    )
+    steps, rest = _eliminate(equations, weight)
+    return ChainMapLattice(qdegree, pairs, math.gcd(*rest.values()), equations, weight, steps, rest)
 
 
-def _substitute(
-    equations: list[_Form], weight: _Form
-) -> tuple[list[tuple[int, _Form]], list[_Form], _Form]:
-    """Eliminate unknowns that have a +-1 coefficient, on copies of the forms.
+def _eliminate(equations: list[_Form], weight: _Form) -> tuple[list[tuple[int, int, int]], _Form]:
+    """Unimodular column operations, on copies, until no equation is left.
 
-    An equation c x_u + sum a_v x_v = 0 with c = +-1 fixes
-    x_u = -c sum a_v x_v.  Adding multiples of it clears u from every other
-    equation and from the weight, and forgetting x_u then maps the kernel
-    bijectively onto the kernel of the rest, with the same image under the
-    weight.  Equations are examined in order, and again after each change;
-    the pivot is the unit whose unknown occurs in the fewest equations.
-    Returns the steps (u, its equation) in order, the remaining equations
-    and the remaining weight.
+    The equations are taken in order.  The pivot of the current one is its
+    least |coefficient| a, on unknown u (ties: the unknown in the fewest
+    forms, then the lowest).  Every other unknown v, with coefficient b,
+    gets column v -= q column u in every form, q = b // a; the step
+    (u, v, q) maps values in the new unknowns back by x_u -= q x_v.  Once
+    a x_u stands alone, x_u = 0 is forced and u is dropped from every form.
+    Each round lowers the least |coefficient| or ends the equation.  The
+    weight rides along as the last row and is never a pivot, so its image
+    on the kernel does not change.  Returns the steps in order and what is
+    left of the weight, over unknowns that are now free.
     """
-    live = {k: dict(eq) for k, eq in enumerate(equations)}
-    weight = dict(weight)
-    where: dict[int, set[int]] = defaultdict(set)
-    for k, eq in live.items():
-        for u in eq:
-            where[u].add(k)
-    queue = deque(live)
-    steps = []
-    while queue:
-        k = queue.popleft()
-        eq = live.get(k, {})
-        units = [u for u, c in eq.items() if c == 1 or c == -1]
-        if not units:
-            continue
-        u = min(units, key=lambda u: (len(where[u]), u))
-        c = eq[u]
-        del live[k]
-        for v in eq:
-            where[v].discard(k)
-        for k2 in where.pop(u):
-            eq2 = live[k2]
-            _axpy(eq2, -c * eq2[u], eq, where, k2)
-            if eq2:
-                queue.append(k2)
-            else:
-                del live[k2]
-        if u in weight:
-            _axpy(weight, -c * weight[u], eq)
-        steps.append((u, eq))
-    return steps, list(live.values()), weight
-
-
-def _axpy(
-    form: _Form, f: int, eq: _Form, where: dict[int, set[int]] | None = None, k: int = -1
-) -> None:
-    """form += f * eq.  If form is equation k, where (unknown -> the
-    equations holding it) is kept current."""
-    for v, c in eq.items():
-        x = form.get(v, 0) + f * c
-        if x:
-            if where is not None and v not in form:
-                where[v].add(k)
-            form[v] = x
-        elif v in form:
-            del form[v]
-            if where is not None and v in where:
-                where[v].discard(k)
-
-
-def _dense(equations: list[_Form], weight: _Form) -> tuple[list[int], list[list[int]], list[int]]:
-    """The unknowns that occur, in order, and the equations and weight as dense rows over them."""
-    unknowns = sorted({u for eq in equations for u in eq} | weight.keys())
-    position = {u: j for j, u in enumerate(unknowns)}
-    rows = []
-    for form in [*equations, weight]:
-        row = [0] * len(unknowns)
+    out = [dict(form) for form in (*equations, weight)]
+    inc: dict[int, dict[int, int]] = defaultdict(dict)
+    for k, form in enumerate(out):
         for u, c in form.items():
-            row[position[u]] = c
-        rows.append(row)
-    return unknowns, rows[:-1], rows[-1]
+            inc[u][k] = c
+    steps = []
+    for eq in out[:-1]:
+        while eq:
+            u = min(eq, key=lambda u: (abs(eq[u]), len(inc[u]), u))
+            a = eq[u]
+            for v, b in list(eq.items()):
+                if v != u:
+                    q = b // a
+                    for k, c in inc[u].items():
+                        _add(out, inc, k, v, -q * c)
+                    steps.append((u, v, q))
+            if len(eq) == 1:
+                for k in inc.pop(u):
+                    del out[k][u]
+    return steps, out[-1]
+
 
 def z_iso_exists(source: GradedComplex, target: GradedComplex, qdegree: int) -> bool:
     """Is there a chain map of this quantum degree inducing +-1 on H_0(. at G=1)?

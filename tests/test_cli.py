@@ -68,6 +68,16 @@ def test_sz_from_json_file(tmp_path, capsys):
     assert out.strip() == "(0, 2), gl = 1"
 
 
+@pytest.mark.parametrize("command", ["s", "sz"])
+def test_input_is_one_positional(tmp_path, capsys, command):
+    # a second input by option would silently replace the positional one
+    path = tmp_path / "ck1.json"
+    path.write_text(to_json(build_ck(1)))
+    for argv in ([command, "BR[2; 1,1,1]", "--complex", str(path)], [command]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error: khconc"), argv
+
+
 def test_kh_json_roundtrips(capsys):
     code, out, _ = run(capsys, "kh", "PD[]", "--json")
     assert code == 0

@@ -1,10 +1,11 @@
+import copy
 import itertools
 import math
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from khconc import intmat, parse_braid, reduce
+from khconc import intmat, parse_braid, reduce, zeq
 from khconc.invariants import integer_homology_profile
 
 from cube import exact_cube
@@ -80,21 +81,52 @@ def test_pinned_outputs():
         assert intmat.solve(a, b) == x, (a, b)
 
 
-@given(matrices(), st.data())
-@settings(max_examples=150, deadline=None)
-def test_kernel_image_gcd_matches_kernel_basis(a, data):
-    w = data.draw(st.lists(st_entries, min_size=len(a[0]), max_size=len(a[0])))
+def eliminated_gcd(a, w):
+    """g from zeq._eliminate on the system (A, w), with a witness checked by hand."""
+    forms = [{j: c for j, c in enumerate(row) if c} for row in a]
+    weight = {j: c for j, c in enumerate(w) if c}
+    before = copy.deepcopy((forms, weight))
+    steps, rest = zeq._eliminate(forms, weight)
+    assert (forms, weight) == before
+    g = math.gcd(*rest.values())
+    pairs = [(str(j), str(j)) for j in range(len(w))]
+    f = zeq.ChainMapLattice(0, pairs, g, forms, weight, steps, rest).witness()
+    x = [f.get(pair, 0) for pair in pairs]
+    assert not any(intmat.matvec(a, x)) and sum(u * v for u, v in zip(w, x)) == g
+    return g
+
+
+@st.composite
+def systems(draw):
+    """(A, w), the entries of A drawn with or without +-1, some rows of A zero."""
+    a = draw(matrices())
+    n = len(a[0])
+    if draw(st.booleans()):
+        no_units = st.sampled_from([-8, -6, -4, -3, -2, 0, 2, 3, 4, 6, 9])
+        a = [[draw(no_units) for _ in range(n)] for _ in a]
+    for i in draw(st.sets(st.integers(0, len(a) - 1))):
+        a[i] = [0] * n
+    return a, draw(st.lists(st_entries, min_size=n, max_size=n))
+
+
+@given(systems())
+@settings(max_examples=200, deadline=None)
+def test_eliminate_image_gcd_matches_kernel_basis(system):
+    a, w = system
     kernel = intmat.kernel_basis(a)
     expect = math.gcd(*(sum(u * v for u, v in zip(vec, w)) for vec in kernel))
-    assert intmat.kernel_image_gcd(a, w) == expect
+    assert eliminated_gcd(a, w) == expect
 
 
-def test_kernel_image_gcd_edges():
-    assert intmat.kernel_image_gcd([], []) == 0
-    assert intmat.kernel_image_gcd([], [4, 6]) == 2
+def test_eliminate_edges():
+    assert eliminated_gcd([], []) == 0
+    assert eliminated_gcd([], [4, 6]) == 2
     # the kernel is spanned by (2, -1), so w = (1, 0) takes it onto 2Z
-    assert intmat.kernel_image_gcd([[1, 2]], [1, 0]) == 2
-    assert intmat.kernel_image_gcd([[1, 2]], [2, 4]) == 0
+    assert eliminated_gcd([[1, 2]], [1, 0]) == 2
+    assert eliminated_gcd([[1, 2]], [2, 4]) == 0
+    # no +-1 anywhere: the kernel of (4 6) is spanned by (3, -2)
+    assert eliminated_gcd([[4, 6], [0, 0]], [1, 1]) == 1
+    assert eliminated_gcd([[4, 6]], [2, 0]) == 6
 
 
 def test_kernel_of_empty_matrix_is_standard_basis():

@@ -170,7 +170,7 @@ def test_witness_is_a_chain_map_with_lambda_image_gcd(fig8_pair):
 def test_broken_witness_is_internal_error():
     lat = chain_map_lattice(build_staircase((2,)), build_staircase((4,)), 0)
     assert lat.image_gcd == 1
-    sizes = r"\(unknowns \d+, equations \d+, remainder_unknowns \d+, remainder_equations \d+\)$"
+    sizes = r"\(unknowns \d+, equations \d+, column_operations \d+\)$"
     doubled = dataclasses.replace(lat, _weight={i: 2 * c for i, c in lat._weight.items()})
     with pytest.raises(InternalInvariantError, match=r"^zeq: .*the witness has lambda = 2, not 1 " + sizes):
         doubled.witness()
@@ -205,6 +205,13 @@ def test_lattice_takes_no_kernel_basis_over_its_unknowns(monkeypatch, fig8_pair)
     lat = chain_map_lattice(build_ck(1), build_ck(2), 0)
     cols.clear()
     assert lat.basis and cols == [len(lat.pairs)]
+    # once the H_0 data are known, the lattice echelons nothing densely
+    h0 = _h0_class_data(big), _h0_class_data(sheared)
+    echelons = []
+    echelon = intmat._echelon
+    monkeypatch.setattr(intmat, "_echelon", lambda *args: echelons.append(args) or echelon(*args))
+    assert zeq._lattice(big, sheared, 0, *h0).image_gcd == 1
+    assert not echelons
 
 
 @pytest.mark.parametrize("bad", [acyclic_square(), support.torsion_h0()], ids=["acyclic", "torsion"])
