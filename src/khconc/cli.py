@@ -47,7 +47,9 @@ def _parse_diagram(token: str, basepoint: int | None) -> khovanov.PDCode | None:
     return khovanov.analyze_pd(list(pd.crossings), basepoint=basepoint)
 
 
-def _load_complex(token: str, cap: int | None, basepoint: int | None) -> complexes.GradedComplex:
+def _load_complex(
+    token: str, cap: int | None, basepoint: int | None, single: bool = False
+) -> complexes.GradedComplex:
     """The reduced complex of a PD/BR code or of a complex JSON file.
 
     A diagram's assembled complex has no unit entries left, so it is
@@ -55,13 +57,18 @@ def _load_complex(token: str, cap: int | None, basepoint: int | None) -> complex
     validate accepts it, since cancelling can turn an invalid complex into a
     valid one.  The invariants reduce their input again, which is cheap on a
     reduced complex; the chain-map lattice behind zeq works on the complex
-    as given.
+    as given.  --cap and --basepoint act on diagrams only: with single (s
+    and sz) either flag on a file is an input error, while zeq's and
+    dist's --cap may be meant for the other input.
     """
     stripped = token.strip()
     pd = _parse_diagram(stripped, basepoint)
     if pd is not None:
         return khovanov.build_complex(pd, cap=cap)
     if os.path.exists(stripped):
+        for flag, value in (("--cap", cap), ("--basepoint", basepoint)):
+            if single and value is not None:
+                raise InputError(f"{flag} applies to PD and BR codes, not to the complex file {stripped}")
         with open(stripped, "r", encoding="utf-8") as fh:
             c = complexes.from_json(fh.read())
         problems = complexes.validate(c)
@@ -131,14 +138,14 @@ def _cmd_kh(args) -> int:
 
 def _cmd_s(args) -> int:
     chars = _parse_chars(args.char)
-    c = _load_complex(args.input, args.cap, args.basepoint)
+    c = _load_complex(args.input, args.cap, args.basepoint, single=True)
     values = [f"s_{ch} = {invariants.rasmussen_s(c, ch)}" for ch in chars]
     print(", ".join(values))
     return 0
 
 
 def _cmd_sz(args) -> int:
-    c = _load_complex(args.input, args.cap, args.basepoint)
+    c = _load_complex(args.input, args.cap, args.basepoint, single=True)
     t = invariants.schuetz_sz(c)
     print(f"{t}, gl = {t.gl}")
     return 0

@@ -12,13 +12,19 @@ and the tuple entries are the successive subgroup indices.
 Cancelling a unit entry is a homotopy equivalence over Z[G], so the
 invariant entry points (rasmussen_s, schuetz_sz, and z_iso_exists and
 distance_d in zeq) validate their input, then reduce it, and work on the
-reduced complex, and so does knotlike_check.  Validation comes first
-because cancelling can turn an invalid complex into a valid one.  The
-routines whose output names the input's generators or describes it as given
-(the field normal form, the homology profile, the H_0 class data and zeq's
-chain-map lattice) work on the complex as given.  Each public entry point
-validates its input once; the H_0 class data, which several of them share,
-assumes input that has passed validate.
+reduced complex.  Validation comes first because cancelling can turn an
+invalid complex into a valid one.  The routines whose output names the
+input's generators or describes it as given (the field normal form, the
+homology profile, the H_0 class data and zeq's chain-map lattice) work on
+the complex as given.  Each public entry point validates its input once;
+the H_0 class data, which several of them share, assumes input that has
+passed validate.
+
+At G = 1 every +-1 entry is a unit, whatever its G-power, so knot-likeness
+and the H_0 class data cancel all of them first (Bar-Natan's Gaussian
+elimination, "Fast Khovanov homology computations", JKTR 16, 2007).
+Smith forms and the dense kernels then run on the small remainder only,
+and the class data are mapped back through the logged cancellations.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ import math
 from dataclasses import dataclass
 
 from . import intmat
-from .complexes import GradedComplex, _require_valid
-from .simplify import NotKnotLikeError, field_normal_form, reduce
+from .complexes import GElem, Generator, GradedComplex, _require_valid
+from .simplify import NotKnotLikeError, _Store, field_normal_form, reduce
 
 
 def _reduced(complex: GradedComplex, layer: str) -> GradedComplex:
@@ -69,16 +75,53 @@ def integer_homology_profile(complex: GradedComplex) -> dict[int, tuple[int, lis
 def knotlike_check(complex: GradedComplex) -> bool:
     """Axiomatic knot-likeness: H(C at G=1) is Z in degree 0 and 0 elsewhere.
 
-    Raises ValueError on a complex that fails validate.
+    Homology is a homotopy invariant, so it is taken of the remainder of
+    _g1_eliminate.  Raises ValueError on a complex that fails validate.
     """
     _require_valid(complex, "knot-likeness")
-    return _knotlike(complex)
+    return _knotlike(_g1_eliminate(complex)[0])
 
 
-def _knotlike(complex: GradedComplex) -> bool:
-    """knotlike_check of a complex that passed validate.  Homology is a
-    homotopy invariant, so the profile is taken of the reduced complex."""
-    profile = integer_homology_profile(reduce(complex))
+class _G1Store(_Store):
+    """The store at G = 1, where every +-1 entry is a unit whatever its G-power.
+
+    Before x -> y of unit u is cancelled, log records what maps degree 0
+    back: (x, u, True, the column of y) if t(x) = 0 and (y, u, False, the
+    row of x) if t(y) = 0, x and y left out.
+    """
+
+    __slots__ = ("log",)
+
+    def pivot(self, v: int, dq: int) -> bool:
+        return v == 1 or v == -1
+
+    def cancel(self, src: str, tgt: str) -> None:
+        u = self.out[src][tgt]
+        if self.deg[src][0] == 0:
+            self.log.append((src, u, True, [(a, v) for a, v in self.inc[tgt].items() if a != src]))
+        elif self.deg[tgt][0] == 0:
+            self.log.append((tgt, u, False, [(w, v) for w, v in self.out[src].items() if w != tgt]))
+        super().cancel(src, tgt)
+
+
+def _g1_eliminate(complex: GradedComplex) -> tuple[GradedComplex, list]:
+    """The complex at G = 1 with every +-1 entry cancelled, and the log of
+    the cancellations.  The remainder has qdeg 0 and G-power 0 throughout:
+    at G = 1 the q-grading means nothing, and an entry may go down in q."""
+    store = _G1Store.load(complex, "G = 1 elimination")
+    store.log = []
+    store.eliminate()
+    remainder = GradedComplex(
+        [Generator(gid, t, 0) for gid, (t, _) in store.deg.items()],
+        {(src, tgt): GElem(v) for src, row in store.out.items() for tgt, v in row.items()},
+    )
+    return remainder, store.log
+
+
+def _knotlike(remainder: GradedComplex) -> bool:
+    """knotlike_check of the remainder of _g1_eliminate, which has the
+    homology of the complex at G = 1."""
+    profile = integer_homology_profile(remainder)
     for t, (free, torsion) in profile.items():
         if torsion:
             return False
@@ -141,19 +184,43 @@ def _h0_class_data(
     H_0(C at G=1), and the degree-0 matrix of g1_matrix they are read from.
 
     The complex must have passed validate, which is not repeated here, and
-    be knot-like, so H_0 is Z; otherwise this raises NotKnotLikeError.  With
-    the rows of K a basis of the cycles, boundaries have coordinates in that
-    basis, and the one covector psi on those coordinates that kills them all
-    is the class map Z^k -> H_0 = Z.  Since the cycles are a saturated
-    lattice, phi with K phi = psi is integral: phi kills every boundary and
-    phi . v is the class of any cycle v.  z = x K for an x with psi . x = 1,
-    so phi . z = 1.
+    be knot-like, so H_0 is Z; otherwise this raises NotKnotLikeError.  The
+    +-1 entries are cancelled at G = 1 first (_g1_eliminate), and phi and z
+    of the small remainder come from _dense_h0.  Each cancellation x -> y
+    of unit u is then undone in reverse order: the inclusion of the
+    elimination lemma sends a cycle to one with z[x] = -u sum_a z[a] d(a, y),
+    and the class covector composed with the projection takes
+    phi[y] = -u sum_w phi[w] d(x, w).  Both are chain maps with projection
+    after inclusion the identity, so phi still kills every boundary and
+    phi . z = 1.
     """
-    if not _knotlike(complex):
+    remainder, log = _g1_eliminate(complex)
+    if not _knotlike(remainder):
         raise NotKnotLikeError(
             f"H_0 class data: complex of rank {complex.total_rank} is not knot-like "
             "(H(C at G=1) is not Z in degree 0 alone)"
         )
+    rsrcs, rphi, rz = _dense_h0(remainder)
+    phi, z = dict(zip(rsrcs, rphi)), dict(zip(rsrcs, rz))
+    for gid, u, into_z, pairs in reversed(log):
+        vec = z if into_z else phi
+        s = sum(vec.get(a, 0) * v for a, v in pairs)
+        if s:
+            vec[gid] = -u * s
+    d0, srcs, _ = g1_matrix(complex, 0)
+    return srcs, [phi.get(g, 0) for g in srcs], [z.get(g, 0) for g in srcs], d0
+
+
+def _dense_h0(complex: GradedComplex) -> tuple[list[str], list[int], list[int]]:
+    """The t = 0 ids, phi and z of a knot-like complex by dense integer work.
+
+    With the rows of K a basis of the cycles, boundaries have coordinates in
+    that basis, and the one covector psi on those coordinates that kills
+    them all is the class map Z^k -> H_0 = Z.  Since the cycles are a
+    saturated lattice, phi with K phi = psi is integral: phi kills every
+    boundary and phi . v is the class of any cycle v.  z = x K for an x with
+    psi . x = 1, so phi . z = 1.
+    """
     d0, srcs, _ = g1_matrix(complex, 0)
     dm1, _, _ = g1_matrix(complex, -1)
     kernel = intmat.kernel_basis(d0, ncols=len(srcs))
@@ -168,7 +235,7 @@ def _h0_class_data(
     x = intmat.solve([psi], [1])
     z = intmat.matvec(kmat, x)
     phi = intmat.solve(kernel, psi)
-    return srcs, phi, z, d0
+    return srcs, phi, z
 
 
 def schuetz_sz(complex: GradedComplex) -> SZTuple:

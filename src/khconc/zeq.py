@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from . import intmat
@@ -173,15 +173,19 @@ def _lattice(
     # (f d - d f)(x) = 0 is one equation per target generator z one degree
     # up, taken in the order of x, then of z in the target
     position = {g.id: k for k, g in enumerate(target.generators)}
+    scalars = {w: [(z, v.scalar) for z, v in target.out_of(w).items()] for w in position}
     equations: list[_Form] = []
     for gx in source.generators:
-        by_z: dict[str, Counter] = defaultdict(Counter)
-        for y, v in source.out_of(gx.id).items():
+        by_z: dict[str, _Form] = {}
+        for y, val in source.out_of(gx.id).items():
+            v = val.scalar
             for z, i in pairs_by_source.get(y, ()):
-                by_z[z][i] += v.scalar
+                eq = by_z.setdefault(z, {})
+                eq[i] = eq.get(i, 0) + v
         for w, i in pairs_by_source.get(gx.id, ()):
-            for z, v in target.out_of(w).items():
-                by_z[z][i] -= v.scalar
+            for z, v in scalars[w]:
+                eq = by_z.setdefault(z, {})
+                eq[i] = eq.get(i, 0) - v
         for z in sorted(by_z, key=position.__getitem__):
             eq = {i: c for i, c in by_z[z].items() if c}
             if eq:

@@ -13,9 +13,9 @@ from fractions import Fraction
 from khconc import ComplexBuilder, GElem, Generator, GradedComplex, direct_sum, generator_cycle, unit_complex
 from khconc import intmat
 from khconc.complexes import _require_valid
-from khconc.invariants import _h0_class_data, g1_matrix, tuple_from_filtration
+from khconc.invariants import g1_matrix, integer_homology_profile, tuple_from_filtration
 from khconc.khovanov import PDCode
-from khconc.simplify import NormalForm, NotKnotLikeError, check_characteristic
+from khconc.simplify import NormalForm, NotKnotLikeError, check_characteristic, reduce
 from khconc.zeq import admissible_pairs
 
 
@@ -218,6 +218,32 @@ def reference_split_summands(complex: GradedComplex) -> list[GradedComplex]:
     return parts
 
 
+def reference_knotlike(c) -> bool:
+    """H(C at G=1) is Z in degree 0 alone, from the Smith forms of reduce(c)."""
+    profile = integer_homology_profile(reduce(c))
+    return 0 in profile and all(p == ((1 if t == 0 else 0), []) for t, p in profile.items())
+
+
+def reference_h0_class_data(c):
+    """(t = 0 ids, class covector phi, generator cycle z, degree-0 matrix) of
+    H_0(C at G=1) by dense integer work over every degree-0 generator.
+
+    With the rows of K a basis of the cycles, the boundaries' coordinates in
+    that basis are killed by one covector psi, the class map; phi solves
+    K phi = psi, and z = x K for an x with psi . x = 1.
+    """
+    if not reference_knotlike(c):
+        raise NotKnotLikeError("reference H_0 class data: not knot-like")
+    d0, srcs, _ = g1_matrix(c, 0)
+    dm1, _, _ = g1_matrix(c, -1)
+    kernel = intmat.kernel_basis(d0, ncols=len(srcs))
+    kmat = intmat.transpose(kernel)
+    coords = [intmat.solve(kmat, bvec) for bvec in intmat.transpose(dm1)]
+    (psi,) = intmat.kernel_basis(coords, ncols=len(kernel))
+    z = intmat.matvec(kmat, intmat.solve([psi], [1]))
+    return srcs, intmat.solve(kernel, psi), z, d0
+
+
 def reference_image_gcd(source: GradedComplex, target: GradedComplex, qdegree: int) -> int:
     """The gcd of lambda over the chain-map lattice, through a dense kernel basis.
 
@@ -225,8 +251,8 @@ def reference_image_gcd(source: GradedComplex, target: GradedComplex, qdegree: i
     (a column echelon carrying an n x n transform) gives the kernel, and
     every kernel vector is dotted with the weight z[x] * phi[y].
     """
-    ssrcs, _, cycle, _ = _h0_class_data(source)
-    tsrcs, phi, _, _ = _h0_class_data(target)
+    ssrcs, _, cycle, _ = reference_h0_class_data(source)
+    tsrcs, phi, _, _ = reference_h0_class_data(target)
     triples = admissible_pairs(source, target, qdegree)
     pairs = [(x, y) for x, y, _ in triples]
     index = {pair: i for i, pair in enumerate(pairs)}

@@ -78,6 +78,19 @@ def test_input_is_one_positional(tmp_path, capsys, command):
         assert (code, out) == (1, "") and err.startswith("error: khconc"), argv
 
 
+@pytest.mark.parametrize("command", ["s", "sz"])
+@pytest.mark.parametrize("flag, value", [("--basepoint", "99"), ("--cap", "0")])
+def test_diagram_flag_on_complex_file_is_exit_one(tmp_path, capsys, command, flag, value):
+    path = tmp_path / "ck1.json"
+    path.write_text(to_json(build_ck(1)))
+    code, out, err = run(capsys, command, str(path), flag, value)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and flag in err and "Traceback" not in err
+    # zeq's --cap may be meant for a diagram input, so a file beside it stays accepted
+    code, out, _ = run(capsys, "zeq", str(path), str(path), "--cap", "0")
+    assert code == 0 and "Z-equivalent: yes" in out
+
+
 def test_kh_json_roundtrips(capsys):
     code, out, _ = run(capsys, "kh", "PD[]", "--json")
     assert code == 0
