@@ -11,13 +11,16 @@ Z-isomorphism of degree Q exists if and only if the image subgroup
 lambda(lattice) = g Z has g = 1.  No enumeration of maps is needed.
 
 g is found without a basis of the lattice, by unimodular column operations
-on the sparse equations with the weight of lambda as one more row.  Each
-equation is reduced by Euclid's algorithm on its columns until one
-coefficient a stands alone on an unknown u; then a x_u = 0 forces x_u = 0,
-and u is dropped.  A +-1 pivot finishes its equation in one round, as in
-Bar-Natan's cancellation.  Once no equation is left every unknown is free,
-so g is the gcd of what remains of the weight.  A kernel basis of the whole
-system is computed only if ChainMapLattice.basis is read.
+on the sparse equations with the weight of lambda as one more row.  The
+equations fall into blocks that share no unknown, and lambda is 0 on the
+kernel of a block the weight does not touch, so only the blocks linked to
+the weight are worked on.  Each equation is reduced by Euclid's algorithm
+on its columns until one coefficient a stands alone on an unknown u; then
+a x_u = 0 forces x_u = 0, and u is dropped.  A +-1 pivot finishes its
+equation in one round, as in Bar-Natan's cancellation.  Once no equation
+is left every unknown is free, so g is the gcd of what remains of the
+weight.  A kernel basis of the whole system is computed only if
+ChainMapLattice.basis is read.
 """
 
 from __future__ import annotations
@@ -58,8 +61,10 @@ class ChainMapLattice:
     applied to the image of the source's generator cycle.  It is the gcd of
     what _eliminate leaves of the weight of lambda.  witness() gives one chain
     map f with lambda(f) = image_gcd by undoing _eliminate's column
-    operations.  basis, integer kernel vectors of the chain-map equations,
-    is computed only when it is read; image_gcd does not need it.
+    operations.  These cover only the blocks of equations linked to the
+    weight, so every other unknown is 0 in the witness.  basis, integer
+    kernel vectors of the chain-map equations, is computed only when it is
+    read; image_gcd does not need it.
     """
 
     qdegree: int
@@ -202,20 +207,36 @@ def _lattice(
 
 
 def _eliminate(equations: list[_Form], weight: _Form) -> tuple[list[tuple[int, int, int]], _Form]:
-    """Unimodular column operations, on copies, until no equation is left.
+    """Unimodular column operations, on copies, until no linked equation is left.
 
-    The equations are taken in order.  The pivot of the current one is its
-    least |coefficient| a, on unknown u (ties: the unknown in the fewest
-    forms, then the lowest).  Every other unknown v, with coefficient b,
-    gets column v -= q column u in every form, q = b // a; the step
-    (u, v, q) maps values in the new unknowns back by x_u -= q x_v.  Once
-    a x_u stands alone, x_u = 0 is forced and u is dropped from every form.
-    Each round lowers the least |coefficient| or ends the equation.  The
-    weight rides along as the last row and is never a pivot, so its image
-    on the kernel does not change.  Returns the steps in order and what is
-    left of the weight, over unknowns that are now free.
+    An equation is linked when a chain of equations sharing unknowns joins
+    it to an unknown of the weight.  The others form blocks of their own:
+    the kernel is the direct sum of the blocks' kernels, and the weight
+    vanishes on theirs, so they are neither copied nor worked on; their
+    unknowns keep the value 0 in the witness.  The linked equations are
+    taken in order.  The pivot of the current one is its least |coefficient|
+    a, on unknown u (ties: the unknown in the fewest forms, then the
+    lowest).  Every other unknown v, with coefficient b, gets column
+    v -= q column u in every form, q = b // a; the step (u, v, q) maps
+    values in the new unknowns back by x_u -= q x_v.  Once a x_u stands
+    alone, x_u = 0 is forced and u is dropped from every form.  Each round
+    lowers the least |coefficient| or ends the equation.  The weight rides
+    along as the last row and is never a pivot, so its image on the kernel
+    does not change.  Returns the steps in order and what is left of the
+    weight, over unknowns that are now free.
     """
-    out = [dict(form) for form in (*equations, weight)]
+    holders: dict[int, list[int]] = defaultdict(list)
+    for k, form in enumerate(equations):
+        for u in form:
+            holders[u].append(k)
+    linked: set[int] = set()
+    todo = list(weight)
+    while todo:
+        for k in holders.pop(todo.pop(), ()):
+            if k not in linked:
+                linked.add(k)
+                todo.extend(equations[k])
+    out = [dict(equations[k]) for k in sorted(linked)] + [dict(weight)]
     inc: dict[int, dict[int, int]] = defaultdict(dict)
     for k, form in enumerate(out):
         for u, c in form.items():

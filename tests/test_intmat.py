@@ -97,16 +97,43 @@ def eliminated_gcd(a, w):
 
 
 @st.composite
-def systems(draw):
-    """(A, w), the entries of A drawn with or without +-1, some rows of A zero."""
+def small_systems(draw):
+    """(A, w), the entries of A drawn with or without +-1, some rows of A zero.
+
+    Half the draws also zero about half the entries of A and w, so that an
+    equation can be linked to the weight only through other equations.
+    """
     a = draw(matrices())
     n = len(a[0])
     if draw(st.booleans()):
         no_units = st.sampled_from([-8, -6, -4, -3, -2, 0, 2, 3, 4, 6, 9])
         a = [[draw(no_units) for _ in range(n)] for _ in a]
+    w = draw(st.lists(st_entries, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        *a, w = [[c if draw(st.booleans()) else 0 for c in row] for row in (*a, w)]
     for i in draw(st.sets(st.integers(0, len(a) - 1))):
         a[i] = [0] * n
-    return a, draw(st.lists(st_entries, min_size=n, max_size=n))
+    return a, w
+
+
+@st.composite
+def systems(draw):
+    """A small system, or two or three of them as the blocks of one.
+
+    The blocks' rows and columns are shuffled together, and the weight is
+    kept on a random subset of the blocks and zero on the others.
+    """
+    if draw(st.booleans()):
+        return draw(small_systems())
+    blocks = draw(st.lists(small_systems(), min_size=2, max_size=3))
+    n = sum(len(w) for _, w in blocks)
+    a, w = [], []
+    for block, bw in blocks:
+        a += [[0] * len(w) + row + [0] * (n - len(w) - len(row)) for row in block]
+        w += bw if draw(st.booleans()) else [0] * len(bw)
+    cols = draw(st.permutations(range(n)))
+    rows = draw(st.permutations(a))
+    return [[row[j] for j in cols] for row in rows], [w[j] for j in cols]
 
 
 @given(systems())
@@ -127,6 +154,13 @@ def test_eliminate_edges():
     # no +-1 anywhere: the kernel of (4 6) is spanned by (3, -2)
     assert eliminated_gcd([[4, 6], [0, 0]], [1, 1]) == 1
     assert eliminated_gcd([[4, 6]], [2, 0]) == 6
+    # x_0 = x_1 = 2 x_2: the second equation is reached from w only through x_1
+    assert eliminated_gcd([[1, -1, 0], [0, 1, -2]], [1, 0, 0]) == 2
+    # a block the weight is silent on, with a kernel of its own, changes nothing
+    linked = [{0: 1, 1: -1}, {1: 1, 2: -2}]
+    alone = [linked[0], {3: 2, 4: 3}, linked[1]]
+    assert zeq._eliminate(alone, {0: 1}) == zeq._eliminate(linked, {0: 1})
+    assert eliminated_gcd([[1, -1, 0, 0, 0], [0, 0, 0, 2, 3], [0, 1, -2, 0, 0]], [1, 0, 0, 0, 0]) == 2
 
 
 def test_kernel_of_empty_matrix_is_standard_basis():

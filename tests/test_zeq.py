@@ -167,6 +167,28 @@ def test_witness_is_a_chain_map_with_lambda_image_gcd(fig8_pair):
     assert assert_witness(*fig8_pair, 0) == 1
 
 
+def test_elimination_stays_in_the_weights_block(fig8_pair):
+    big, sheared = fig8_pair
+    lat = chain_map_lattice(big, sheared, 0)
+    parent = list(range(len(lat.pairs)))
+
+    def root(u):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        return u
+
+    for eq in lat._equations:
+        first, *others = eq
+        for v in others:
+            parent[root(v)] = root(first)
+    roots = {root(u) for u in lat._weight}
+    block = {u for u in range(len(lat.pairs)) if root(u) in roots}
+    assert len(block) < len(lat.pairs) // 10, len(block)
+    assert lat._steps and all(u in block and v in block for u, v, _ in lat._steps)
+    # the witness is still checked against all the equations
+    assert lat.witness() and lat.image_gcd == 1
+
+
 def test_broken_witness_is_internal_error():
     lat = chain_map_lattice(build_staircase((2,)), build_staircase((4,)), 0)
     assert lat.image_gcd == 1
