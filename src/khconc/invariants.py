@@ -16,15 +16,16 @@ reduced complex.  Validation comes first because cancelling can turn an
 invalid complex into a valid one.  The routines whose output names the
 input's generators or describes it as given (the field normal form, the
 homology profile, the H_0 class data and zeq's chain-map lattice) work on
-the complex as given.  Each public entry point validates its input once;
-the H_0 class data, which several of them share, assumes input that has
-passed validate.
+the complex as given.  The entry points validate their input in _reduced
+(rasmussen_s again in field_normal_form); the H_0 class data, which several
+of them share, assumes input that has passed validate.
 
 At G = 1 every +-1 entry is a unit, whatever its G-power, so knot-likeness
 and the H_0 class data cancel all of them first (Bar-Natan's Gaussian
 elimination, "Fast Khovanov homology computations", JKTR 16, 2007).
-Smith forms and the dense kernels then run on the small remainder only,
-and the class data are mapped back through the logged cancellations.
+Smith forms and dense kernels run on the small remainder only, the class
+data are mapped back through the logged cancellations, and each filtration
+level is one sparse elimination (simplify._eliminate).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 from . import intmat
 from .complexes import GElem, Generator, GradedComplex, _require_valid
-from .simplify import NotKnotLikeError, _Store, field_normal_form, reduce
+from .simplify import NotKnotLikeError, _Form, _Store, _eliminate, field_normal_form, reduce
 
 
 def _reduced(complex: GradedComplex, layer: str) -> GradedComplex:
@@ -177,11 +178,9 @@ def tuple_from_filtration(m_by_k: dict[int, int]) -> SZTuple:
     return SZTuple(k0=k0, ks=tuple(ks))
 
 
-def _h0_class_data(
-    complex: GradedComplex,
-) -> tuple[list[str], list[int], list[int], list[list[int]]]:
-    """The t = 0 ids, a class covector phi and a generator cycle z of
-    H_0(C at G=1), and the degree-0 matrix of g1_matrix they are read from.
+def _h0_class_data(complex: GradedComplex) -> tuple[list[str], list[int], list[int]]:
+    """The t = 0 ids in stored order, and a class covector phi and a
+    generator cycle z of H_0(C at G=1) over them.
 
     The complex must have passed validate, which is not repeated here, and
     be knot-like, so H_0 is Z; otherwise this raises NotKnotLikeError.  The
@@ -207,8 +206,8 @@ def _h0_class_data(
         s = sum(vec.get(a, 0) * v for a, v in pairs)
         if s:
             vec[gid] = -u * s
-    d0, srcs, _ = g1_matrix(complex, 0)
-    return srcs, [phi.get(g, 0) for g in srcs], [z.get(g, 0) for g in srcs], d0
+    srcs = [g.id for g in complex.generators if g.tdeg == 0]
+    return srcs, [phi.get(g, 0) for g in srcs], [z.get(g, 0) for g in srcs]
 
 
 def _dense_h0(complex: GradedComplex) -> tuple[list[str], list[int], list[int]]:
@@ -241,16 +240,19 @@ def _dense_h0(complex: GradedComplex) -> tuple[list[str], list[int], list[int]]:
 def schuetz_sz(complex: GradedComplex) -> SZTuple:
     """The filtration tuple of H_0(C at G=1) by quantum-degree support.
 
-    m_k is the gcd of phi over a kernel basis of d0 restricted to the
-    generators of quantum degree >= k.
+    m_k is the gcd of phi on the cycles in quantum degrees >= k: the gcd of
+    what _eliminate leaves of it on the degree-0 equations in those degrees.
     """
     complex = _reduced(complex, "schuetz_sz")
-    srcs, phi, _, d0 = _h0_class_data(complex)
+    srcs, phi, _ = _h0_class_data(complex)
     qdegs = [complex.gen(gid).qdeg for gid in srcs]
+    rows: dict[str, _Form] = {}
+    for j, gid in enumerate(srcs):
+        for tgt, val in complex.out_of(gid).items():
+            rows.setdefault(tgt, {})[j] = val.scalar
     m_by_k: dict[int, int] = {}
     for k in range(max(qdegs), min(qdegs) - 2, -2):
-        keep = [j for j, q in enumerate(qdegs) if q >= k]
-        sub = [[row[j] for j in keep] for row in d0]
-        kern = intmat.kernel_basis(sub, ncols=len(keep))
-        m_by_k[k] = math.gcd(*(sum(phi[j] * u for j, u in zip(keep, vec)) for vec in kern))
+        equations = [{j: c for j, c in row.items() if qdegs[j] >= k} for row in rows.values()]
+        weight = {j: c for j, c in enumerate(phi) if c and qdegs[j] >= k}
+        m_by_k[k] = math.gcd(*_eliminate(equations, weight)[1].values())
     return tuple_from_filtration(m_by_k)

@@ -17,11 +17,16 @@ only for the result.
     F[G] --G^c--> F[G] with c > 0, and an acyclic remainder.  Over F every
     entry is a pivot, so reduce's elimination loop, taking the entry of
     least G-power first, leaves the free summand and reports the pieces.
+
+_eliminate, the sparse integer elimination behind the filtration tuple and
+zeq's chain-map lattice, takes Euclid's steps on linear forms toward a
+Hermite form; a +-1 pivot ends its equation in one round, as in reduce.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -216,6 +221,62 @@ def _add(out, inc, a: str, z: str, v: int) -> int:
         return 0 if old else 1
     del out[a][z], inc[z][a]
     return -1
+
+
+# a linear form in the unknowns: unknown index -> nonzero coefficient
+_Form = dict[int, int]
+
+
+def _eliminate(equations: list[_Form], weight: _Form) -> tuple[list[tuple[int, int, int]], _Form]:
+    """Unimodular column operations, on copies, until no linked equation is left.
+
+    An equation is linked when a chain of equations sharing unknowns joins
+    it to an unknown of the weight.  The others form blocks of their own:
+    the kernel is the direct sum of the blocks' kernels, and the weight
+    vanishes on theirs, so they are neither copied nor worked on; their
+    unknowns keep the value 0 in zeq's witness.  The linked equations are
+    taken in order.  The pivot of the current one is its least |coefficient|
+    a, on unknown u (ties: the unknown in the fewest forms, then the
+    lowest).  Every other unknown v, with coefficient b, gets column
+    v -= q column u in every form, q = b // a; the step (u, v, q) maps
+    values in the new unknowns back by x_u -= q x_v.  Once a x_u stands
+    alone, x_u = 0 is forced and u is dropped from every form.  Each round
+    lowers the least |coefficient| or ends the equation.  The weight rides
+    along as the last row and is never a pivot, so its image on the kernel
+    does not change.  Returns the steps in order and what is left of the
+    weight, over unknowns that are now free.
+    """
+    holders: dict[int, list[int]] = defaultdict(list)
+    for k, form in enumerate(equations):
+        for u in form:
+            holders[u].append(k)
+    linked: set[int] = set()
+    todo = list(weight)
+    while todo:
+        for k in holders.pop(todo.pop(), ()):
+            if k not in linked:
+                linked.add(k)
+                todo.extend(equations[k])
+    out = [dict(equations[k]) for k in sorted(linked)] + [dict(weight)]
+    inc: dict[int, dict[int, int]] = defaultdict(dict)
+    for k, form in enumerate(out):
+        for u, c in form.items():
+            inc[u][k] = c
+    steps = []
+    for eq in out[:-1]:
+        while eq:
+            u = min(eq, key=lambda u: (abs(eq[u]), len(inc[u]), u))
+            a = eq[u]
+            for v, b in list(eq.items()):
+                if v != u:
+                    q = b // a
+                    for k, c in inc[u].items():
+                        _add(out, inc, k, v, -q * c)
+                    steps.append((u, v, q))
+            if len(eq) == 1:
+                for k in inc.pop(u):
+                    del out[k][u]
+    return steps, out[-1]
 
 
 def _sparsify(store: _Store) -> None:

@@ -14,7 +14,9 @@ chains, tracking pure q-shifts (one q^2 per Sigma_(0) factor) separately.
 
 from __future__ import annotations
 
+import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .complexes import GElem, Generator, GradedComplex
@@ -78,9 +80,14 @@ def build_ck(k: int) -> GradedComplex:
 # ---------------------------------------------------------------------------
 # formal staircase calculus
 
+# The calculus factors each entry by trial division to its square root and
+# writes a chain as long as the net exponents; these bound both.
+_MAX_ENTRY = 10**12
+_MAX_EXPONENT = 10**4
+
 
 def prime_power_factors(n: int) -> list[int]:
-    """Prime power factorization of n >= 2 (trial division; inputs are small)."""
+    """Prime power factorization of n by trial division; empty below 2."""
     out = []
     d = 2
     while d * d <= n:
@@ -99,16 +106,12 @@ def prime_power_factors(n: int) -> list[int]:
 def _chain_factors(a: tuple[int, ...]) -> tuple[dict[int, int], int]:
     """Multiset of nonzero prime-power factors of Sigma_A plus its q-shift."""
     factors: dict[int, int] = {}
-    shift = 0
-    for x in a:
-        if x == 0:
-            shift += 2
-        elif x == 1:
-            continue
-        else:
-            for q in prime_power_factors(x):
-                factors[q] = factors.get(q, 0) + 1
-    return factors, shift
+    for x, mult in Counter(a).items():
+        if x > _MAX_ENTRY:
+            raise ValueError(f"staircase entry {x} is above {_MAX_ENTRY}")
+        for q in prime_power_factors(x):
+            factors[q] = factors.get(q, 0) + mult
+    return factors, 2 * a.count(0)
 
 
 def chain_from_prime_powers(factors: dict[int, int]) -> tuple[int, ...]:
@@ -117,7 +120,7 @@ def chain_from_prime_powers(factors: dict[int, int]) -> tuple[int, ...]:
     for q, mult in factors.items():
         if mult <= 0:
             continue
-        prime = next(d for d in range(2, q + 1) if q % d == 0)
+        prime = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
         by_prime.setdefault(prime, []).extend([q] * mult)
     for lst in by_prime.values():
         lst.sort(reverse=True)
@@ -171,6 +174,9 @@ def stair_normal_form(product: dict[tuple[int, ...], int]) -> StairNormalForm:
         shift += exponent * spec_shift
         for q, mult in factors.items():
             net[q] = net.get(q, 0) + exponent * mult
+    size = abs(shift) // 2 + sum(map(abs, net.values()))
+    if size > _MAX_EXPONENT:
+        raise ValueError(f"net staircase exponents add up to {size}, above {_MAX_EXPONENT}")
     pos = {q: m for q, m in net.items() if m > 0}
     neg = {q: -m for q, m in net.items() if m < 0}
     return StairNormalForm(

@@ -10,45 +10,34 @@ generator class of the target; lambda is linear on the lattice, and a
 Z-isomorphism of degree Q exists if and only if the image subgroup
 lambda(lattice) = g Z has g = 1.  No enumeration of maps is needed.
 
-g is found without a basis of the lattice, by unimodular column operations
-on the sparse equations with the weight of lambda as one more row.  The
-equations fall into blocks that share no unknown, and lambda is 0 on the
-kernel of a block the weight does not touch, so only the blocks linked to
-the weight are worked on.  Each equation is reduced by Euclid's algorithm
-on its columns until one coefficient a stands alone on an unknown u; then
-a x_u = 0 forces x_u = 0, and u is dropped.  A +-1 pivot finishes its
-equation in one round, as in Bar-Natan's cancellation.  Once no equation
-is left every unknown is free, so g is the gcd of what remains of the
-weight.  A kernel basis of the whole system is computed only if
-ChainMapLattice.basis is read.
+g is found without a basis of the lattice, by simplify._eliminate:
+unimodular column operations on the sparse equations, with the weight of
+lambda as one more row, restricted to the blocks of equations linked to
+the weight.  Once no equation is left every unknown is free, so g is the
+gcd of what remains of the weight.  A kernel basis of the whole system is
+computed only if ChainMapLattice.basis is read.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from . import intmat
 from .complexes import GElem, GradedComplex, InternalInvariantError, _require_valid, tensor, dual
 from .invariants import _h0_class_data, _reduced
-from .simplify import _add
+from .simplify import _Form, _eliminate
 
-# (t = 0 ids, class covector, generator cycle, degree-0 matrix at G = 1),
-# as _h0_class_data returns it
-_H0Data = tuple[list[str], list[int], list[int], list[list[int]]]
+# _h0_class_data's (t = 0 ids, class covector, generator cycle)
+_H0Data = tuple[list[str], list[int], list[int]]
 
 
 def generator_cycle(complex: GradedComplex) -> dict[str, int]:
     """An integer cycle at G = 1 whose class generates H_0; deterministic."""
     _require_valid(complex, "generator_cycle")
-    srcs, _, z, _ = _h0_class_data(complex)
+    srcs, _, z = _h0_class_data(complex)
     return {gid: coeff for gid, coeff in zip(srcs, z) if coeff}
-
-
-# a linear form in the unknowns: unknown index -> nonzero coefficient
-_Form = dict[int, int]
 
 
 @dataclass
@@ -168,8 +157,8 @@ def _lattice(
     source: GradedComplex, target: GradedComplex, qdegree: int, src_h0: _H0Data, tgt_h0: _H0Data
 ) -> ChainMapLattice:
     """chain_map_lattice given both complexes' _h0_class_data."""
-    ssrcs, _, cycle, _ = src_h0
-    tsrcs, phi, _, _ = tgt_h0
+    ssrcs, _, cycle = src_h0
+    tsrcs, phi, _ = tgt_h0
     pairs = [(x, y) for x, y, _ in admissible_pairs(source, target, qdegree)]
     pairs_by_source: dict[str, list[tuple[str, int]]] = {}
     for i, (x, y) in enumerate(pairs):
@@ -204,58 +193,6 @@ def _lattice(
     }
     steps, rest = _eliminate(equations, weight)
     return ChainMapLattice(qdegree, pairs, math.gcd(*rest.values()), equations, weight, steps, rest)
-
-
-def _eliminate(equations: list[_Form], weight: _Form) -> tuple[list[tuple[int, int, int]], _Form]:
-    """Unimodular column operations, on copies, until no linked equation is left.
-
-    An equation is linked when a chain of equations sharing unknowns joins
-    it to an unknown of the weight.  The others form blocks of their own:
-    the kernel is the direct sum of the blocks' kernels, and the weight
-    vanishes on theirs, so they are neither copied nor worked on; their
-    unknowns keep the value 0 in the witness.  The linked equations are
-    taken in order.  The pivot of the current one is its least |coefficient|
-    a, on unknown u (ties: the unknown in the fewest forms, then the
-    lowest).  Every other unknown v, with coefficient b, gets column
-    v -= q column u in every form, q = b // a; the step (u, v, q) maps
-    values in the new unknowns back by x_u -= q x_v.  Once a x_u stands
-    alone, x_u = 0 is forced and u is dropped from every form.  Each round
-    lowers the least |coefficient| or ends the equation.  The weight rides
-    along as the last row and is never a pivot, so its image on the kernel
-    does not change.  Returns the steps in order and what is left of the
-    weight, over unknowns that are now free.
-    """
-    holders: dict[int, list[int]] = defaultdict(list)
-    for k, form in enumerate(equations):
-        for u in form:
-            holders[u].append(k)
-    linked: set[int] = set()
-    todo = list(weight)
-    while todo:
-        for k in holders.pop(todo.pop(), ()):
-            if k not in linked:
-                linked.add(k)
-                todo.extend(equations[k])
-    out = [dict(equations[k]) for k in sorted(linked)] + [dict(weight)]
-    inc: dict[int, dict[int, int]] = defaultdict(dict)
-    for k, form in enumerate(out):
-        for u, c in form.items():
-            inc[u][k] = c
-    steps = []
-    for eq in out[:-1]:
-        while eq:
-            u = min(eq, key=lambda u: (abs(eq[u]), len(inc[u]), u))
-            a = eq[u]
-            for v, b in list(eq.items()):
-                if v != u:
-                    q = b // a
-                    for k, c in inc[u].items():
-                        _add(out, inc, k, v, -q * c)
-                    steps.append((u, v, q))
-            if len(eq) == 1:
-                for k in inc.pop(u):
-                    del out[k][u]
-    return steps, out[-1]
 
 
 def z_iso_exists(source: GradedComplex, target: GradedComplex, qdegree: int) -> bool:

@@ -225,8 +225,8 @@ def reference_knotlike(c) -> bool:
 
 
 def reference_h0_class_data(c):
-    """(t = 0 ids, class covector phi, generator cycle z, degree-0 matrix) of
-    H_0(C at G=1) by dense integer work over every degree-0 generator.
+    """(t = 0 ids, class covector phi, generator cycle z) of H_0(C at G=1)
+    by dense integer work over every degree-0 generator.
 
     With the rows of K a basis of the cycles, the boundaries' coordinates in
     that basis are killed by one covector psi, the class map; phi solves
@@ -241,7 +241,26 @@ def reference_h0_class_data(c):
     coords = [intmat.solve(kmat, bvec) for bvec in intmat.transpose(dm1)]
     (psi,) = intmat.kernel_basis(coords, ncols=len(kernel))
     z = intmat.matvec(kmat, intmat.solve([psi], [1]))
-    return srcs, intmat.solve(kernel, psi), z, d0
+    return srcs, intmat.solve(kernel, psi), z
+
+
+def reference_sz(c):
+    """The filtration tuple by one dense kernel per level, on reference_h0_class_data.
+
+    m_k is the gcd of phi over an intmat.kernel_basis of the degree-0 matrix
+    at G = 1 restricted to the generators of quantum degree >= k.
+    """
+    c = reduce(c)
+    srcs, phi, _ = reference_h0_class_data(c)
+    d0, _, _ = g1_matrix(c, 0)
+    qdegs = [c.gen(gid).qdeg for gid in srcs]
+    m_by_k = {}
+    for k in range(max(qdegs), min(qdegs) - 2, -2):
+        keep = [j for j, q in enumerate(qdegs) if q >= k]
+        sub = [[row[j] for j in keep] for row in d0]
+        kern = intmat.kernel_basis(sub, ncols=len(keep))
+        m_by_k[k] = math.gcd(*(sum(phi[j] * u for j, u in zip(keep, vec)) for vec in kern))
+    return tuple_from_filtration(m_by_k)
 
 
 def reference_image_gcd(source: GradedComplex, target: GradedComplex, qdegree: int) -> int:
@@ -251,8 +270,8 @@ def reference_image_gcd(source: GradedComplex, target: GradedComplex, qdegree: i
     (a column echelon carrying an n x n transform) gives the kernel, and
     every kernel vector is dotted with the weight z[x] * phi[y].
     """
-    ssrcs, _, cycle, _ = reference_h0_class_data(source)
-    tsrcs, phi, _, _ = reference_h0_class_data(target)
+    ssrcs, _, cycle = reference_h0_class_data(source)
+    tsrcs, phi, _ = reference_h0_class_data(target)
     triples = admissible_pairs(source, target, qdegree)
     pairs = [(x, y) for x, y, _ in triples]
     index = {pair: i for i, pair in enumerate(pairs)}

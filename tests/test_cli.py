@@ -376,6 +376,17 @@ def _expire(signum, frame):
     raise TimeoutError("khconc ran for more than 10 s")
 
 
+def _exit_code_within_10s(argv):
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     command=st.sampled_from(["s", "sz", "kh"]),
@@ -392,12 +403,28 @@ def test_fuzzed_diagram_exits_cleanly(command, text, basepoint, cap, chars):
         argv += ["--cap", str(cap)]
     if command == "s":
         argv += [f"--char={chars}"]
-    previous = signal.signal(signal.SIGALRM, _expire)
-    signal.setitimer(signal.ITIMER_REAL, 10)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    assert code in (0, 1, 2)
+    assert _exit_code_within_10s(argv) in (0, 1, 2)
+
+
+# entries and exponents past what the calculus may factor or write out: 10^12 + 39
+# is prime, and 999999999989 the largest prime below 10^12
+STAIR_NUMBERS = st.one_of(
+    st.integers(-2, 12),
+    st.integers(0, 10**30),
+    st.sampled_from([10**12 + 39, 999999999989, 10000019, 2**61 - 1, 10**9]),
+)
+STAIR_TERM = st.builds(
+    "S({}){}".format,
+    st.lists(STAIR_NUMBERS, max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.one_of(st.just(""), STAIR_NUMBERS.map("^{}".format), STAIR_NUMBERS.map("^-{}".format)),
+)
+STAIR_TEXT = st.one_of(
+    st.lists(STAIR_TERM, min_size=1, max_size=4).map(" * ".join),
+    st.text(alphabet="S()^,*- 0123456789", max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=STAIR_TEXT)
+def test_fuzzed_stair_expression_exits_cleanly(text):
+    assert _exit_code_within_10s(["stair", text]) in (0, 1)

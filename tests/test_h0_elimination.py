@@ -3,10 +3,12 @@
 invariants._h0_class_data cancels every +-1 entry at G = 1, runs dense
 integer work on the remainder only, and maps phi and z back through the
 cancellations.  support.reference_h0_class_data is the dense routine over
-every degree-0 generator that it replaced.  The two may pick different
-phi (by a covector vanishing on cycles) and z (by a boundary), so they are
-compared through what the invariants read: phi . z, knot-likeness, the
-filtration tuple and the lattice image gcd.
+every degree-0 generator that it replaced, and support.reference_sz the
+dense kernel per filtration level that the sparse schuetz_sz replaced.
+The two class data may pick different phi (by a covector vanishing on
+cycles) and z (by a boundary), so they are compared through what the
+invariants read: phi . z, knot-likeness, the filtration tuple and the
+lattice image gcd.
 """
 
 import random
@@ -31,6 +33,7 @@ from khconc import (
     shift,
     tensor,
     unit_complex,
+    z_equivalent,
 )
 from khconc import intmat, invariants, zeq
 from khconc.invariants import _h0_class_data, g1_matrix
@@ -75,9 +78,10 @@ def dot(u, v):
 
 def test_class_data_against_dense_oracle():
     for c in knotlike_cases():
-        srcs, phi, z, d0 = _h0_class_data(c)
-        rsrcs, rphi, rz, rd0 = support.reference_h0_class_data(c)
-        assert (srcs, d0) == (rsrcs, rd0)
+        srcs, phi, z = _h0_class_data(c)
+        rsrcs, rphi, rz = support.reference_h0_class_data(c)
+        d0, dsrcs, _ = g1_matrix(c, 0)
+        assert srcs == rsrcs == dsrcs
         assert not any(intmat.matvec(d0, z))
         dm1, _, _ = g1_matrix(c, -1)
         assert all(dot(phi, col) == 0 for col in intmat.transpose(dm1))
@@ -103,7 +107,7 @@ def test_remainder_without_units_keeps_every_generator():
     c = remainder_case()
     remainder, log = invariants._g1_eliminate(c)
     assert remainder.total_rank == 3 and log == []
-    srcs, phi, z, _ = _h0_class_data(c)
+    srcs, phi, z = _h0_class_data(c)
     assert dict(zip(srcs, z)) in ({"a": 3, "b": -2}, {"a": -3, "b": 2})
     assert dot(phi, z) == 1
     assert schuetz_sz(c).as_tuple() == support.bruteforce_sz(c)
@@ -126,9 +130,32 @@ def test_not_knotlike_is_rejected(bad):
         _h0_class_data(bad)
 
 
+def test_schuetz_sz_equals_the_dense_loop():
+    """The sparse elimination per level against one dense kernel per level.
+
+    random_knotlike has tuples of length one, so 30 of them are also
+    tensored with a complex of longer tuple and scrambled again.
+    """
+    rng = random.Random(26)
+    cases = [support.scramble(support.random_knotlike(rng, max_pieces=3), rng, moves=12) for _ in range(150)]
+    factors = [build_ck(1), build_ck(2), build_staircase((2, 4))]
+    factors += [dual(build_staircase(chain)) for chain in ((2, 4), (3,), (2, 2, 2))]
+    cases += [support.scramble(tensor(c, rng.choice(factors)), rng, moves=12) for c in cases[:30]]
+    cases += [build_ck(k) for k in (1, 2, 3)]
+    cases += [dual(build_staircase(chain)) for chain in ((2, 4), (2, 2, 2), (3,))]
+    for word in ("BR[2; 1,1,1]", "BR[3; 1,-2,1,-2]", "BR[2; 1,1,1,1,1]"):
+        c = knot(word)
+        cases += [c, tensor(c, dual(c)), tensor(c, c)]
+    double = build_complex(support.double_pd(parse_braid("BR[2; 1,1,1]"), clasp="A"), cap=14)
+    cases.append(tensor(double, dual(double)))
+    for c in cases:
+        assert schuetz_sz(c) == support.reference_sz(c), c.total_rank
+
+
 def test_dense_work_only_on_the_remainder(monkeypatch):
     """On the rank-125 lattice input no intmat call takes more columns than
-    the G = 1 remainder has generators."""
+    the G = 1 remainder has generators, in the class data, the filtration
+    tuple or the lattice."""
     fig8 = knot("BR[3; 1,-2,1,-2]")
     big = tensor(tensor(build_ck(1), fig8), fig8)
     cols = []
@@ -141,6 +168,8 @@ def test_dense_work_only_on_the_remainder(monkeypatch):
 
         monkeypatch.setattr(intmat, name, recorded)
     _h0_class_data(big)
+    schuetz_sz(big)
+    z_equivalent(big, build_ck(1))
     monkeypatch.undo()
     assert big.total_rank == 125
     assert cols and max(cols) <= invariants._g1_eliminate(big)[0].total_rank, cols

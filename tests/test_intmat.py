@@ -5,7 +5,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from khconc import intmat, parse_braid, reduce, zeq
+from khconc import intmat, parse_braid, reduce, simplify, zeq
 from khconc.invariants import integer_homology_profile
 
 from cube import exact_cube
@@ -82,11 +82,11 @@ def test_pinned_outputs():
 
 
 def eliminated_gcd(a, w):
-    """g from zeq._eliminate on the system (A, w), with a witness checked by hand."""
+    """g from simplify._eliminate on the system (A, w), with a witness checked by hand."""
     forms = [{j: c for j, c in enumerate(row) if c} for row in a]
     weight = {j: c for j, c in enumerate(w) if c}
     before = copy.deepcopy((forms, weight))
-    steps, rest = zeq._eliminate(forms, weight)
+    steps, rest = simplify._eliminate(forms, weight)
     assert (forms, weight) == before
     g = math.gcd(*rest.values())
     pairs = [(str(j), str(j)) for j in range(len(w))]
@@ -159,7 +159,7 @@ def test_eliminate_edges():
     # a block the weight is silent on, with a kernel of its own, changes nothing
     linked = [{0: 1, 1: -1}, {1: 1, 2: -2}]
     alone = [linked[0], {3: 2, 4: 3}, linked[1]]
-    assert zeq._eliminate(alone, {0: 1}) == zeq._eliminate(linked, {0: 1})
+    assert simplify._eliminate(alone, {0: 1}) == simplify._eliminate(linked, {0: 1})
     assert eliminated_gcd([[1, -1, 0, 0, 0], [0, 0, 0, 2, 3], [0, 1, -2, 0, 0]], [1, 0, 0, 0, 0]) == 2
 
 

@@ -212,7 +212,7 @@ class TestH0ClassData:
         base = [support.scramble(support.random_knotlike(rng), rng) for _ in range(100)]
         big = sorted(base, key=lambda c: c.total_rank)[-2:]
         for c in [*base, *map(dual, base), tensor(*big)]:
-            _, phi, z, _ = _h0_class_data(c)
+            _, phi, z = _h0_class_data(c)
             d0, _, _ = g1_matrix(c, 0)
             dm1, _, _ = g1_matrix(c, -1)
             assert not any(intmat.matvec(d0, z))

@@ -101,7 +101,7 @@ def test_normal_form_trivial_iff_z_equivalent():
 def test_filtration_indices_nest():
     # m_(k-2) divides m_k wherever both are nonzero
     for c in [dual(build_staircase((2, 4, 8))), dual(build_staircase((3, 9)))]:
-        srcs, phi, _, _ = _h0_class_data(c)
+        srcs, phi, _ = _h0_class_data(c)
         qdegs = [c.gen(g).qdeg for g in srcs]
         d0, _, _ = g1_matrix(c, 0)
         ms = {}

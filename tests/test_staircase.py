@@ -96,6 +96,13 @@ class TestStairNormalForm:
         nf = stair_normal_form({(2,): 1, (4,): -1})
         assert nf.a_side == (2,) and nf.b_side == (4,) and nf.shift == 0
 
+    def test_powers_of_one_prime_stack(self):
+        # a prime's square is told apart from a prime by a divisor at its square root
+        assert stair_normal_form({(2,): 1, (4,): 1}).a_side == (2, 4)
+        assert stair_normal_form({(3,): 1, (9,): 1, (2,): 1}).a_side == (3, 18)
+        p = 999983
+        assert stair_normal_form({(p,): 1, (p * p,): 1}).a_side == (p, p * p)
+
     def test_zero_factors_become_shifts(self):
         nf = stair_normal_form({(0,): 1})
         assert nf.a_side == () and nf.shift == 2
@@ -133,6 +140,19 @@ class TestStairNormalForm:
                 for x, y in zip(side, side[1:]):
                     assert y % x == 0
             assert nf.shift % 2 == 0
+
+    def test_large_input_is_bounded(self):
+        # a prime near 10^7 is found by trial division to its square root
+        assert stair_normal_form({(10000019,): 1}).a_side == (10000019,)
+        assert stair_normal_form({(2,): 10**4}).a_side == (2,) * 10**4
+        with pytest.raises(ValueError, match="entry 1000000000039"):
+            stair_normal_form({(10**12 + 39,): 1})
+        with pytest.raises(ValueError, match="add up to 1000000000"):
+            stair_normal_form(parse_stair_expr("S(2)^1000000000"))
+        with pytest.raises(ValueError, match="add up to 10001"):
+            stair_normal_form({(0,): 10**4, (2,): 1})
+        # exponents that cancel do not count
+        assert stair_normal_form({(2,): 10**9, (2, 2): -(10**9) // 2}).is_trivial()
 
     def test_group_inverse(self):
         assert stair_normal_form({(2, 4): 0}).is_trivial()

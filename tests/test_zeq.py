@@ -153,7 +153,7 @@ def assert_witness(src, tgt, qdeg):
     fmap = lat.witness()
     assert_chain_map(src, tgt, qdeg, fmap)
     cycle = generator_cycle(src)
-    tsrcs, phi, _, _ = _h0_class_data(tgt)
+    tsrcs, phi, _ = _h0_class_data(tgt)
     covector = dict(zip(tsrcs, phi))
     assert sum(cycle.get(x, 0) * u * covector.get(y, 0) for (x, y), u in fmap.items()) == lat.image_gcd
     return lat.image_gcd
