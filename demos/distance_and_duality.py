@@ -44,7 +44,7 @@ print()
 print("== duals are inverses, with an explicit witness ==")
 for c, name in [(s2, "Sigma_(2)"), (build_staircase((2, 4)), "Sigma_(2,4)")]:
     w = inverse_witness(c)
-    nonzero = sum(1 for v in w.f.values() if not v.is_zero())
+    nonzero = sum(1 for v in w.f.values() if v)
     print(f"  {name}: witness over {w.product.total_rank} generators, "
           f"{nonzero} diagonal terms, g(f(1)) = 1 verified")
     print(f"  {name} (x) dual ~ unit:", z_equivalent(reduce(tensor(c, dual(c))), unit_complex()))

@@ -119,7 +119,8 @@ def _pretty_grid(c: complexes.GradedComplex) -> str:
     lines.append("")
     lines.append("entries:")
     for src, tgt, val in sorted(c.iter_entries(), key=lambda e: (c.gen(e[0]).tdeg, e[0], e[1])):
-        lines.append(f"  {src} -> {tgt}: {val!r}")
+        monomial = complexes.GElem(val, complexes.expected_gpow(c.gen(src), c.gen(tgt)))
+        lines.append(f"  {src} -> {tgt}: {monomial!r}")
     return "\n".join(lines)
 
 

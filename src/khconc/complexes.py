@@ -7,12 +7,11 @@ are homogeneous monomials m*G^c.  Homogeneity pins the G-power of an entry
 from x to y: a map q^a -> q^b given by m*G^c has quantum degree -a + b - 2c,
 and the differential must have tq-degree (1, 0), so c = (b - a) / 2.
 
-Complexes are immutable once constructed; all algebra below (shift, dual,
-sum, tensor) returns fresh values.  ComplexBuilder is the GElem-valued
-staging API for code that edits a complex entry by entry.  Unit
-cancellation and summand splitting do not use it: they run on plain int
-scalars with the G-powers implied by the degrees, in a private store in
-simplify.
+A GradedComplex stores only the int scalar m of each entry and reads every
+G-power off the degrees (expected_gpow); its constructor is the one place
+that checks them.  GElem is the staging and input type of ComplexBuilder
+and from_json.  Complexes are immutable once constructed; all algebra
+below (shift, dual, sum, tensor) returns fresh values.
 """
 
 from __future__ import annotations
@@ -51,12 +50,6 @@ class GElem:
 
     def is_unit(self) -> bool:
         return self.gpow == 0 and self.scalar in (1, -1)
-
-    def __mul__(self, other: "GElem") -> "GElem":
-        return GElem(self.scalar * other.scalar, self.gpow + other.gpow)
-
-    def __neg__(self) -> "GElem":
-        return GElem(-self.scalar, self.gpow)
 
     def plus(self, other: "GElem") -> "GElem":
         if self.is_zero():
@@ -142,26 +135,36 @@ class LaurentBiPoly:
 
 
 class GradedComplex:
-    """Immutable bigraded complex; see the module docstring for conventions."""
+    """Immutable bigraded complex of int scalars, built from int or GElem
+    entries: a G-power its ends do not force (or admit, for an int) raises
+    ValueError naming the entry, and zero entries are dropped."""
 
     __slots__ = ("_gens", "_out")
 
     def __init__(
         self,
         generators: Iterable[Generator],
-        entries: Mapping[tuple[str, str], GElem],
+        entries: Mapping[tuple[str, str], int | GElem],
     ):
         gens: dict[str, Generator] = {}
         for g in generators:
             if g.id in gens:
                 raise ValueError(f"duplicate generator id {g.id!r}")
             gens[g.id] = g
-        out: dict[str, dict[str, GElem]] = {gid: {} for gid in gens}
+        out: dict[str, dict[str, int]] = {gid: {} for gid in gens}
         for (src, tgt), val in entries.items():
             if src not in gens or tgt not in gens:
                 raise ValueError(f"entry {src!r}->{tgt!r} references unknown generator")
-            if not val.is_zero():
-                out[src][tgt] = val
+            val, gpow = (val.scalar, val.gpow) if isinstance(val, GElem) else (val, None)
+            if not val:
+                continue
+            gs, gt = gens[src], gens[tgt]
+            want = expected_gpow(gs, gt)
+            if want is None:
+                raise ValueError(f"entry {src}->{tgt}: no homogeneous monomial fits qdeg {gs.qdeg}->{gt.qdeg}")
+            if gpow not in (None, want):
+                raise ValueError(f"entry {src}->{tgt}: G-power {gpow}, homogeneity forces {want}")
+            out[src][tgt] = val
         self._gens = gens
         self._out = out
 
@@ -178,13 +181,13 @@ class GradedComplex:
     def __contains__(self, gid: str) -> bool:
         return gid in self._gens
 
-    def out_of(self, gid: str) -> Mapping[str, GElem]:
+    def out_of(self, gid: str) -> Mapping[str, int]:
         return self._out[gid]
 
-    def entry(self, src: str, tgt: str) -> GElem:
-        return self._out[src].get(tgt, GElem(0))
+    def entry(self, src: str, tgt: str) -> int:
+        return self._out[src].get(tgt, 0)
 
-    def iter_entries(self) -> Iterator[tuple[str, str, GElem]]:
+    def iter_entries(self) -> Iterator[tuple[str, str, int]]:
         for src, row in self._out.items():
             for tgt, val in row.items():
                 yield src, tgt, val
@@ -210,7 +213,7 @@ class GradedComplex:
         for g in self._gens.values():
             b.add_gen(g.id, g.tdeg, g.qdeg)
         for src, tgt, val in self.iter_entries():
-            b.set_entry(src, tgt, val)
+            b.set_entry(src, tgt, GElem(val, expected_gpow(self._gens[src], self._gens[tgt])))
         return b
 
     def __eq__(self, other) -> bool:
@@ -225,8 +228,8 @@ class GradedComplex:
 class ComplexBuilder:
     """Mutable staging area for a GradedComplex, confined to one thread.
 
-    Entries are GElem values, as in GradedComplex.  Its remaining users
-    are GradedComplex.builder(), the benchmark's shear and the test oracles.
+    Entries are GElem values, checked by GradedComplex when frozen.  Its
+    users are GradedComplex.builder(), the benchmark's shear and the oracles.
     """
 
     def __init__(self):
@@ -283,24 +286,20 @@ def validate(complex: GradedComplex) -> list[str]:
     for g in complex.generators:
         if g.qdeg % 2 != 0:
             problems.append(f"generator {g.id}: odd quantum degree {g.qdeg}")
-    for src, tgt, val in complex.iter_entries():
-        gs, gt = complex.gen(src), complex.gen(tgt)
-        if gt.tdeg != gs.tdeg + 1:
-            problems.append(f"entry {src}->{tgt}: homological step {gt.tdeg - gs.tdeg} != 1")
-        want = expected_gpow(gs, gt)
-        if want is None:
-            problems.append(f"entry {src}->{tgt}: no homogeneous monomial fits qdeg {gs.qdeg}->{gt.qdeg}")
-        elif val.gpow != want:
-            problems.append(f"entry {src}->{tgt}: stored G-power {val.gpow}, homogeneity forces {want}")
-    # d о d = 0, tracked per monomial degree so inhomogeneous junk is caught too
+    for src, tgt, _ in complex.iter_entries():
+        step = complex.gen(tgt).tdeg - complex.gen(src).tdeg
+        if step != 1:
+            problems.append(f"entry {src}->{tgt}: homological step {step} != 1")
+    # d o d = 0: every path x -> y -> z has the G-power (q_z - q_x)/2, so
+    # the scalars are summed per target
     for x in complex.ids():
-        acc: dict[tuple[str, int], int] = {}
+        acc: dict[str, int] = {}
         for y, v1 in complex.out_of(x).items():
             for z, v2 in complex.out_of(y).items():
-                key = (z, v1.gpow + v2.gpow)
-                acc[key] = acc.get(key, 0) + v1.scalar * v2.scalar
-        for (z, gp), scal in acc.items():
+                acc[z] = acc.get(z, 0) + v1 * v2
+        for z, scal in acc.items():
             if scal != 0:
+                gp = (complex.gen(z).qdeg - complex.gen(x).qdeg) // 2
                 problems.append(f"d^2 != 0: {x}->{z} residue {scal}*G^{gp}")
     return problems
 
@@ -347,7 +346,7 @@ def direct_sum(c1: GradedComplex, c2: GradedComplex) -> GradedComplex:
     ren2 = (lambda gid: "r." + gid) if collide else (lambda gid: gid)
     gens = [Generator(ren1(g.id), g.tdeg, g.qdeg) for g in c1.generators]
     gens += [Generator(ren2(g.id), g.tdeg, g.qdeg) for g in c2.generators]
-    entries: dict[tuple[str, str], GElem] = {}
+    entries: dict[tuple[str, str], int] = {}
     for s, t, v in c1.iter_entries():
         entries[(ren1(s), ren1(t))] = v
     for s, t, v in c2.iter_entries():
@@ -367,7 +366,7 @@ def tensor(c1: GradedComplex, c2: GradedComplex) -> GradedComplex:
     for g1 in c1.generators:
         for g2 in c2.generators:
             gens.append(Generator(tensor_id(g1.id, g2.id), g1.tdeg + g2.tdeg, g1.qdeg + g2.qdeg))
-    entries: dict[tuple[str, str], GElem] = {}
+    entries: dict[tuple[str, str], int] = {}
     for g1 in c1.generators:
         sign = -1 if g1.tdeg % 2 else 1
         for g2 in c2.generators:
@@ -375,16 +374,17 @@ def tensor(c1: GradedComplex, c2: GradedComplex) -> GradedComplex:
             for y, v in c1.out_of(g1.id).items():
                 entries[(src, tensor_id(y, g2.id))] = v
             for y, v in c2.out_of(g2.id).items():
-                entries[(src, tensor_id(g1.id, y))] = GElem(sign * v.scalar, v.gpow)
+                entries[(src, tensor_id(g1.id, y))] = sign * v
     return GradedComplex(gens, entries)
 
 
 def to_json(complex: GradedComplex, indent: int | None = None) -> str:
     """Serialize; scalars are string encoded so precision is never lost."""
+    gen = complex.gen
     payload = {
         "generators": [{"id": g.id, "t": g.tdeg, "q": g.qdeg} for g in complex.generators],
         "diff": [
-            {"from": s, "to": t, "coeff": str(v.scalar), "gpow": v.gpow}
+            {"from": s, "to": t, "coeff": str(v), "gpow": expected_gpow(gen(s), gen(t))}
             for s, t, v in sorted(complex.iter_entries(), key=lambda e: (e[0], e[1]))
         ],
     }
@@ -392,7 +392,8 @@ def to_json(complex: GradedComplex, indent: int | None = None) -> str:
 
 
 def from_json(text: str) -> GradedComplex:
-    """Parse to_json output; a malformed payload raises ValueError naming the field.
+    """Parse to_json output; a malformed payload, or a gpow the degrees do
+    not force, raises ValueError naming the field or entry.
 
     The complex is not validated here; see validate.
     """
@@ -419,9 +420,11 @@ def from_json(text: str) -> GradedComplex:
     entries = {}
     for i, e in enumerate(field(payload, "diff", list, "complex") if "diff" in payload else []):
         where = f"entry {i}"
-        val = GElem(field(e, "coeff", lambda c: int(str(c)), where), field(e, "gpow", int, where))
+        coeff, gpow = field(e, "coeff", lambda c: int(str(c)), where), field(e, "gpow", int, where)
         pair = (field(e, "from", str, where), field(e, "to", str, where))
         if pair in entries:
             raise ValueError(f"{where}: duplicate entry {pair[0]}->{pair[1]}")
-        entries[pair] = val
+        if gpow < 0:
+            raise ValueError(f"{where}: entry {pair[0]}->{pair[1]} has negative G-power {gpow}")
+        entries[pair] = GElem(coeff, gpow)
     return GradedComplex(gens, entries)

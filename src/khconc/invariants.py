@@ -25,7 +25,8 @@ and the H_0 class data cancel all of them first (Bar-Natan's Gaussian
 elimination, "Fast Khovanov homology computations", JKTR 16, 2007).
 Smith forms and dense kernels run on the small remainder only, the class
 data are mapped back through the logged cancellations, and each filtration
-level is one sparse elimination (simplify._eliminate).
+level is one sparse elimination (simplify._eliminate).  Both follow only
+the degrees that hold generators, not the span between them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from . import intmat
-from .complexes import GElem, Generator, GradedComplex, _require_valid
+from .complexes import Generator, GradedComplex, _require_valid
 from .simplify import NotKnotLikeError, _Form, _Store, _eliminate, field_normal_form, reduce
 
 
@@ -56,21 +57,22 @@ def g1_matrix(complex: GradedComplex, tdeg: int) -> tuple[list[list[int]], list[
     mat = [[0] * len(srcs) for _ in tgts]
     for j, src in enumerate(srcs):
         for tgt, val in complex.out_of(src).items():
-            mat[tix[tgt]][j] = val.scalar
+            mat[tix[tgt]][j] = val
     return mat, srcs, tgts
 
 
 def integer_homology_profile(complex: GradedComplex) -> dict[int, tuple[int, list[int]]]:
-    """Per homological degree: (free rank, torsion orders > 1) of H(C at G=1)."""
-    lo, hi = complex.tdeg_range()
+    """(free rank, torsion orders > 1) of H(C at G=1) per homological degree
+    of a generator; the homology is zero in every other degree."""
     rank, kernel, torsion = {}, {}, {}
-    for t in range(lo - 1, hi + 1):
+    degrees = sorted({g.tdeg for g in complex.generators})
+    for t in degrees:
         mat, srcs, _ = g1_matrix(complex, t)
         facs = intmat.smith_form(mat)
         rank[t] = len(facs)
         kernel[t] = len(srcs) - len(facs)
         torsion[t] = [f for f in facs if f > 1]
-    return {t: (kernel[t] - rank[t - 1], torsion[t - 1]) for t in range(lo, hi + 1)}
+    return {t: (kernel[t] - rank.get(t - 1, 0), torsion.get(t - 1, [])) for t in degrees}
 
 
 def knotlike_check(complex: GradedComplex) -> bool:
@@ -109,12 +111,12 @@ def _g1_eliminate(complex: GradedComplex) -> tuple[GradedComplex, list]:
     """The complex at G = 1 with every +-1 entry cancelled, and the log of
     the cancellations.  The remainder has qdeg 0 and G-power 0 throughout:
     at G = 1 the q-grading means nothing, and an entry may go down in q."""
-    store = _G1Store.load(complex, "G = 1 elimination")
+    store = _G1Store.load(complex)
     store.log = []
     store.eliminate()
     remainder = GradedComplex(
         [Generator(gid, t, 0) for gid, (t, _) in store.deg.items()],
-        {(src, tgt): GElem(v) for src, row in store.out.items() for tgt, v in row.items()},
+        {(src, tgt): v for src, row in store.out.items() for tgt, v in row.items()},
     )
     return remainder, store.log
 
@@ -237,11 +239,17 @@ def _dense_h0(complex: GradedComplex) -> tuple[list[str], list[int], list[int]]:
     return srcs, phi, z
 
 
+# the longest filtration tuple schuetz_sz writes out, not counting k0
+_MAX_GL = 10**4
+
+
 def schuetz_sz(complex: GradedComplex) -> SZTuple:
     """The filtration tuple of H_0(C at G=1) by quantum-degree support.
 
     m_k is the gcd of phi on the cycles in quantum degrees >= k: the gcd of
     what _eliminate leaves of it on the degree-0 equations in those degrees.
+    It changes only at the qdegs of degree-0 generators, so it is computed
+    once per qdeg.  A gl above _MAX_GL raises ValueError.
     """
     complex = _reduced(complex, "schuetz_sz")
     srcs, phi, _ = _h0_class_data(complex)
@@ -249,10 +257,18 @@ def schuetz_sz(complex: GradedComplex) -> SZTuple:
     rows: dict[str, _Form] = {}
     for j, gid in enumerate(srcs):
         for tgt, val in complex.out_of(gid).items():
-            rows.setdefault(tgt, {})[j] = val.scalar
-    m_by_k: dict[int, int] = {}
-    for k in range(max(qdegs), min(qdegs) - 2, -2):
+            rows.setdefault(tgt, {})[j] = val
+    m_at: dict[int, int] = {}
+    for k in sorted(set(qdegs), reverse=True):
         equations = [{j: c for j, c in row.items() if qdegs[j] >= k} for row in rows.values()]
         weight = {j: c for j, c in enumerate(phi) if c and qdegs[j] >= k}
-        m_by_k[k] = math.gcd(*_eliminate(equations, weight)[1].values())
+        m_at[k] = math.gcd(*_eliminate(equations, weight)[1].values())
+    # phi . z = 1 for the cycle z on all of degree 0, so some m is 1
+    top = max(k for k, m in m_at.items() if m)
+    full = max(k for k, m in m_at.items() if m == 1)
+    if (top - full) // 2 > _MAX_GL:
+        raise ValueError(f"schuetz_sz: the filtration tuple has gl = {(top - full) // 2}, above {_MAX_GL}")
+    m_by_k, m = {}, 0
+    for k in range(top, full - 1, -2):  # m_k is m_at of the least level >= k
+        m = m_by_k[k] = m_at.get(k, m)
     return tuple_from_filtration(m_by_k)

@@ -1,9 +1,7 @@
 """Chain-complex reduction over Z[G] and graded normal forms over F[G].
 
 Three layers of simplification, in increasing strength, all on one private
-store of plain scalars: the G-power of an entry is implied by the degrees,
-so stored G-powers are checked once on loading and GElems are made again
-only for the result.
+store of the complex's plain scalars, with G-powers implied by the degrees.
 
   * cancel_pivot / reduce: Gaussian cancellation of +-1 entries.  This is a
     homotopy equivalence and the only simplification performed over Z[G].
@@ -30,7 +28,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import GElem, Generator, GradedComplex, _require_valid
+from .complexes import Generator, GradedComplex, _require_valid
 
 
 class NotKnotLikeError(ValueError):
@@ -41,13 +39,13 @@ class _Store:
     """The mutable complex behind elimination and summand splitting.
 
     Generators map to their (t, q) degrees and entries to plain scalars:
-    homogeneity fixes the G-power of an entry x -> y as (q_y - q_x)/2, so
-    GElems are made only in freeze.  p selects the coefficients: int
-    scalars over Z (None), Fractions over Q (0) or residues mod a prime p.
-    A pivot is an entry the elimination lemma may cancel: over Z a +-1
-    entry with q_y = q_x, over a field any entry.  heap holds the
-    (q_y - q_x, t_x, x, y) keys of pivots, pushed when an entry becomes one;
-    a key whose entry has since changed or gone is skipped when popped.
+    homogeneity fixes the G-power of an entry x -> y as (q_y - q_x)/2.  p
+    selects the coefficients: int scalars over Z (None), Fractions over Q
+    (0) or residues mod a prime p.  A pivot is an entry the elimination
+    lemma may cancel: over Z a +-1 entry with q_y = q_x, over a field any
+    entry.  heap holds the (q_y - q_x, t_x, x, y) keys of pivots, pushed
+    when an entry becomes one; a key whose entry has since changed or gone
+    is skipped when popped.
     """
 
     __slots__ = ("deg", "out", "inc", "heap", "p")
@@ -60,24 +58,19 @@ class _Store:
         self.p = p
 
     @classmethod
-    def load(cls, complex: GradedComplex, layer: str, p: int | None = None) -> "_Store":
-        """The complex as scalars, zero residues dropped; an entry whose
-        G-power its degrees do not force raises ValueError naming the layer."""
+    def load(cls, complex: GradedComplex, p: int | None = None) -> "_Store":
+        """The complex as scalars in the store's ring, zero residues dropped."""
         store = cls(p)
         deg, out, inc, heap = store.deg, store.out, store.inc, store.heap
         for g in complex.generators:
             deg[g.id] = (g.tdeg, g.qdeg)
             out[g.id] = {}
             inc[g.id] = {}
-        for src, tgt, val in complex.iter_entries():
+        for src, tgt, v in complex.iter_entries():
             ts, qs = deg[src]
             qt = deg[tgt][1]
-            if 2 * val.gpow != qt - qs:
-                raise ValueError(
-                    f"{layer}: entry {src}->{tgt} = {val!r} is inhomogeneous: "
-                    f"qdeg {qs} -> {qt} forces G-power ({qt} - {qs})/2"
-                )
-            v = val.scalar if p is None else Fraction(val.scalar) if p == 0 else val.scalar % p
+            if p is not None:
+                v = Fraction(v) if p == 0 else v % p
             if v:
                 out[src][tgt] = inc[tgt][src] = v
                 if store.pivot(v, qt - qs):
@@ -143,44 +136,31 @@ class _Store:
         return cancelled
 
     def freeze(self) -> GradedComplex:
-        deg = self.deg
-        memo: dict[tuple[int, int], GElem] = {}
-        entries = {}
-        for src, row in self.out.items():
-            qs = deg[src][1]
-            for tgt, v in row.items():
-                key = (v, (deg[tgt][1] - qs) // 2)
-                val = memo.get(key)
-                if val is None:
-                    val = memo[key] = GElem(*key)
-                entries[(src, tgt)] = val
-        return GradedComplex([Generator(gid, t, q) for gid, (t, q) in deg.items()], entries)
+        entries = {(src, tgt): v for src, row in self.out.items() for tgt, v in row.items()}
+        return GradedComplex([Generator(gid, t, q) for gid, (t, q) in self.deg.items()], entries)
 
 
 def cancel_pivot(complex: GradedComplex, entry: tuple[str, str]) -> GradedComplex:
     """Cancel the generator pair joined by a +-1*G^0 entry.
 
     The surviving differential picks up the correction E - D*u^(-1)*C, which
-    preserves the homotopy type and drops the total rank by two.  An entry
-    whose G-power its degrees do not force raises ValueError.
+    preserves the homotopy type and drops the total rank by two.
     """
     src, tgt = entry
-    store = _Store.load(complex, "cancel_pivot")
+    store = _Store.load(complex)
     val = store.out.get(src, {}).get(tgt)
     if val is None:
         raise KeyError(f"no such entry {src!r}->{tgt!r}")
-    if not store.pivot(val, store.deg[tgt][1] - store.deg[src][1]):
-        raise ValueError(f"pivot {src!r}->{tgt!r} = {complex.entry(src, tgt)!r} is not a unit of Z[G]")
+    dq = store.deg[tgt][1] - store.deg[src][1]
+    if not store.pivot(val, dq):
+        raise ValueError(f"pivot {src!r}->{tgt!r} = {val}*G^{dq // 2} is not a unit of Z[G]")
     store.cancel(src, tgt)
     return store.freeze()
 
 
 def reduce(complex: GradedComplex) -> GradedComplex:
-    """Cancel unit pivots until none remain.
-
-    An entry whose G-power its degrees do not force raises ValueError.
-    """
-    store = _Store.load(complex, "reduce")
+    """Cancel unit pivots until none remain."""
+    store = _Store.load(complex)
     store.eliminate()
     return store.freeze()
 
@@ -317,10 +297,9 @@ def split_summands(complex: GradedComplex) -> list[GradedComplex]:
     A divisibility-driven basis change runs first so that products which are
     isomorphic to a direct sum actually fall apart; the direct sum of the
     returned complexes is isomorphic to the input.  The basis change runs on
-    int scalars with G-powers read off the degrees, so an entry whose
-    G-power its degrees do not force raises ValueError.
+    the int scalars, with G-powers read off the degrees.
     """
-    store = _Store.load(complex, "split_summands")
+    store = _Store.load(complex)
     _sparsify(store)
     frozen = store.freeze()
     parent = {gid: gid for gid in store.deg}
@@ -386,9 +365,8 @@ def field_normal_form(
 ) -> tuple[GradedComplex, NormalForm]:
     """Gaussian elimination of C (x) F[G] down to its decomposition.
 
-    The complex must pass validate: G-powers are read off the degrees, an
-    entry v -> w being lambda*G^c with c = (q_w - q_v)/2, so the store holds
-    only the field scalars lambda.  The entry of least G-power divides its
+    The complex must pass validate.  An entry v -> w is lambda*G^c with
+    c = (q_w - q_v)/2, so the store holds only the field scalars lambda.  The entry of least G-power divides its
     whole row and column, so it is cancelled first; a cancelled pair with
     c > 0 is a piece F[G] --G^c--> F[G].  Exactly one generator must
     survive, in homological degree 0, and its quantum degree is s.
@@ -400,7 +378,7 @@ def field_normal_form(
     _require_valid(complex, "field_normal_form")
     if complex.total_rank == 0:
         return GradedComplex([], {}), NormalForm(s=None, pieces=())
-    store = _Store.load(complex, "field_normal_form", characteristic)
+    store = _Store.load(complex, characteristic)
     pieces = tuple(sorted((t, q, dq // 2) for t, q, dq in store.eliminate() if dq))
     deg = store.deg
     free = sorted(deg, key=lambda g: (deg[g], g))
@@ -414,5 +392,5 @@ def field_normal_form(
     new_entries = {}
     for i, (a, bq, c) in enumerate(nf.pieces):
         new_gens += [Generator(f"p{i}a", a, bq), Generator(f"p{i}b", a + 1, bq + 2 * c)]
-        new_entries[(f"p{i}a", f"p{i}b")] = GElem(1, c)
+        new_entries[(f"p{i}a", f"p{i}b")] = 1
     return GradedComplex(new_gens, new_entries), nf

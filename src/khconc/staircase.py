@@ -19,7 +19,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .complexes import GElem, Generator, GradedComplex
+from .complexes import Generator, GradedComplex
 
 
 def check_staircase_spec(a: tuple[int, ...]) -> None:
@@ -44,11 +44,11 @@ def build_staircase(a: tuple[int, ...] | list[int]) -> GradedComplex:
         gens.append(Generator(f"x{i}", 0, 2 * (n - i + 1)))
     for i in range(1, n + 1):
         gens.append(Generator(f"y{i}", 1, 2 * (n - i + 1)))
-    entries: dict[tuple[str, str], GElem] = {}
+    entries: dict[tuple[str, str], int] = {}
     for i in range(1, n + 1):
         if a[i - 1] != 0:
-            entries[(f"x{i}", f"y{i}")] = GElem(a[i - 1], 0)
-        entries[(f"x{i+1}", f"y{i}")] = GElem(1, 1)
+            entries[(f"x{i}", f"y{i}")] = a[i - 1]
+        entries[(f"x{i+1}", f"y{i}")] = 1
     return GradedComplex(gens, entries)
 
 
@@ -68,11 +68,11 @@ def build_ck(k: int) -> GradedComplex:
         Generator("w", 1, 0),
     ]
     entries = {
-        ("e", "u2"): GElem(-1, 1),
-        ("e", "v"): GElem(2 ** (k + 1), 0),
-        ("u1", "w"): GElem(2 ** k, 0),
-        ("u2", "w"): GElem(2 ** (k + 1), 0),
-        ("v", "w"): GElem(1, 1),
+        ("e", "u2"): -1,
+        ("e", "v"): 2 ** (k + 1),
+        ("u1", "w"): 2**k,
+        ("u2", "w"): 2 ** (k + 1),
+        ("v", "w"): 1,
     }
     return GradedComplex(gens, entries)
 

@@ -12,7 +12,7 @@ with a weight (its count of 1-resolutions) and a quantum degree.  A
 morphism M1 -> M2 is a dict {mask: int}: the basis cobordisms are disjoint
 unions of disks, one per circle of M1 u M2, and a set mask bit dots its
 disk.  All scalars are taken at G = 1; homogeneity fixes every G-power from
-the degrees, as in simplify's store.
+the degrees, as in GradedComplex.
 
 One gluing rule serves composition and crossing addition: glue the disks of
 both factors along their shared segments and take the components.  A
@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
-from .complexes import GElem, Generator, GradedComplex, InternalInvariantError
+from .complexes import Generator, GradedComplex, InternalInvariantError
 
 if TYPE_CHECKING:
     from .khovanov import PDCode
@@ -372,7 +372,7 @@ class _Tangle:
                     )
                 scalar = morph.get(0, 0) - morph.get(1, 0)
                 if scalar:
-                    entries[(ids[x], ids[y])] = GElem(scalar, dq // 2)
+                    entries[(ids[x], ids[y])] = scalar
         return GradedComplex(gens, entries)
 
 

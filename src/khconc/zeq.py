@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import intmat
-from .complexes import GElem, GradedComplex, InternalInvariantError, _require_valid, tensor, dual
+from .complexes import GradedComplex, InternalInvariantError, _require_valid, dual, euler_char, tensor
 from .invariants import _h0_class_data, _reduced
 from .simplify import _Form, _eliminate
 
@@ -167,17 +167,15 @@ def _lattice(
     # (f d - d f)(x) = 0 is one equation per target generator z one degree
     # up, taken in the order of x, then of z in the target
     position = {g.id: k for k, g in enumerate(target.generators)}
-    scalars = {w: [(z, v.scalar) for z, v in target.out_of(w).items()] for w in position}
     equations: list[_Form] = []
     for gx in source.generators:
         by_z: dict[str, _Form] = {}
-        for y, val in source.out_of(gx.id).items():
-            v = val.scalar
+        for y, v in source.out_of(gx.id).items():
             for z, i in pairs_by_source.get(y, ()):
                 eq = by_z.setdefault(z, {})
                 eq[i] = eq.get(i, 0) + v
         for w, i in pairs_by_source.get(gx.id, ()):
-            for z, v in scalars[w]:
+            for z, v in target.out_of(w).items():
                 eq = by_z.setdefault(z, {})
                 eq[i] = eq.get(i, 0) - v
         for z in sorted(by_z, key=position.__getitem__):
@@ -224,9 +222,11 @@ def default_distance_bound(c1: GradedComplex, c2: GradedComplex) -> int:
 def distance_d(c1: GradedComplex, c2: GradedComplex, bound: int | None = None) -> int | None:
     """Least n <= bound with Z-isomorphisms of degree -2n both ways, else None.
 
-    Success is monotone in n (multiply a witness by G), so scanning up from
-    0 finds the minimum.  The metric is only proven finite for complexes of
-    knots, hence the explicit bound; None reports that the bound was hit.
+    Success is monotone in n (multiply a witness by G), so n = 0, 1, 2, 4,
+    ... is tried up to the bound, then the gap between the last failure and
+    the first success is bisected.  The metric is only proven finite for
+    complexes of knots, hence the explicit bound; None reports that the
+    bound was hit.
 
     The default bound is taken from the complexes as given.  Both are then
     validated and reduced, and the H_0 class data of each is computed once
@@ -239,13 +239,20 @@ def distance_d(c1: GradedComplex, c2: GradedComplex, bound: int | None = None) -
         raise ValueError("bound must be nonnegative")
     c1, c2 = _reduced(c1, "distance_d"), _reduced(c2, "distance_d")
     h1, h2 = _h0_class_data(c1), _h0_class_data(c2)
-    for n in range(bound + 1):
-        if (
-            _lattice(c1, c2, -2 * n, h1, h2).image_gcd == 1
-            and _lattice(c2, c1, -2 * n, h2, h1).image_gcd == 1
-        ):
-            return n
-    return None
+    directions = ((c1, c2, h1, h2), (c2, c1, h2, h1))
+
+    def both_ways(n: int) -> bool:
+        return all(_lattice(a, b, -2 * n, ha, hb).image_gcd == 1 for a, b, ha, hb in directions)
+
+    failed, n = -1, 0
+    while not both_ways(n):
+        if n == bound:
+            return None
+        failed, n = n, min(bound, max(1, 2 * n))
+    while n - failed > 1:
+        mid = (failed + n) // 2
+        failed, n = (failed, mid) if both_ways(mid) else (mid, n)
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +269,8 @@ class InverseWitness:
     """Verified section/retraction pair of the unit summand of C (x) dual(C)."""
 
     product: GradedComplex
-    f: dict[str, GElem]
-    g: dict[str, GElem]
+    f: dict[str, int]
+    g: dict[str, int]
 
 
 def inverse_witness(complex: GradedComplex) -> InverseWitness:
@@ -273,43 +280,33 @@ def inverse_witness(complex: GradedComplex) -> InverseWitness:
     functional scaled by 1/chi; both are verified to be chain maps with
     g(f(1)) = 1 before returning.
     """
-    chi = sum(-1 if g.tdeg % 2 else 1 for g in complex.generators)
+    chi = euler_char(complex)
     if chi not in (1, -1):
         raise ValueError(f"Euler characteristic {chi} is not a unit of Z[G]")
     product = tensor(complex, dual(complex))
-    f: dict[str, GElem] = {}
-    gmap: dict[str, GElem] = {}
+    f: dict[str, int] = {}
+    gmap: dict[str, int] = {}
     for gen in complex.generators:
         diag = f"{gen.id}(x){gen.id}*"
         sign_f = -1 if zeta(gen.tdeg) else 1
-        sign_g = sign_f * (-1 if gen.tdeg % 2 else 1)
-        f[diag] = GElem(sign_f, 0)
-        gmap[diag] = GElem(chi * sign_g, 0)
+        f[diag] = sign_f
+        gmap[diag] = chi * sign_f * (-1 if gen.tdeg % 2 else 1)
 
+    # the diagonal terms all sit in q = 0, so each sum below adds monomials
+    # of one G-power and only the scalars are summed
     # f is a chain map iff d(f(1)) = 0
-    residue: dict[str, GElem] = {}
+    residue: dict[str, int] = {}
     for gid, coeff in f.items():
         for tgt, val in product.out_of(gid).items():
-            residue[tgt] = residue.get(tgt, GElem(0)).plus(coeff * val)
+            residue[tgt] = residue.get(tgt, 0) + coeff * val
     sizes = {"rank": complex.total_rank, "product_rank": product.total_rank}
-    if any(not v.is_zero() for v in residue.values()):
+    if any(residue.values()):
         raise InternalInvariantError("inverse_witness", "f is not a chain map", **sizes)
     # g is a chain map iff it kills every boundary from degree -1
     for gen in product.generators:
-        if gen.tdeg != -1:
-            continue
-        acc = GElem(0)
-        for tgt, val in product.out_of(gen.id).items():
-            coeff = gmap.get(tgt)
-            if coeff is not None:
-                acc = acc.plus(val * coeff)
-        if not acc.is_zero():
+        if gen.tdeg == -1 and sum(val * gmap.get(tgt, 0) for tgt, val in product.out_of(gen.id).items()):
             raise InternalInvariantError("inverse_witness", "g is not a chain map", **sizes)
-    total = GElem(0)
-    for gid, coeff in f.items():
-        other = gmap.get(gid)
-        if other is not None:
-            total = total.plus(coeff * other)
-    if total != GElem(1, 0):
-        raise InternalInvariantError("inverse_witness", f"g(f(1)) = {total!r}, expected 1", **sizes)
+    total = sum(coeff * gmap.get(gid, 0) for gid, coeff in f.items())
+    if total != 1:
+        raise InternalInvariantError("inverse_witness", f"g(f(1)) = {total}, expected 1", **sizes)
     return InverseWitness(product=product, f=f, g=gmap)

@@ -16,7 +16,12 @@ from khconc.complexes import _require_valid
 from khconc.invariants import g1_matrix, integer_homology_profile, tuple_from_filtration
 from khconc.khovanov import PDCode
 from khconc.simplify import NormalForm, NotKnotLikeError, check_characteristic, reduce
-from khconc.zeq import admissible_pairs
+from khconc.zeq import admissible_pairs, default_distance_bound, z_iso_exists
+
+
+def monomial(c, src, tgt):
+    """The nonzero entry src -> tgt as a GElem, its G-power read off the degrees."""
+    return GElem(c.entry(src, tgt), (c.gen(tgt).qdeg - c.gen(src).qdeg) // 2)
 
 
 def acyclic_square(q=0, t=0, tag="sq", scal=1):
@@ -39,6 +44,41 @@ def invalid_reducing_to_unit():
     ids = [("a", -1), ("b", 0), ("c", 1), ("e", 2)]
     gens = [Generator(gid, t, 0) for gid, t in ids] + [Generator("u", 0, 0)]
     return GradedComplex(gens, {(x, y): GElem(1, 0) for (x, _), (y, _) in zip(ids, ids[1:])})
+
+
+def far_acyclic_piece(t):
+    """The unit plus an acyclic piece with no unit entries at t, t + 1, t + 2."""
+    gens = [Generator("a", t, 0), Generator("b1", t + 1, 0), Generator("b2", t + 1, 0), Generator("c", t + 2, 0)]
+    piece = GradedComplex(gens, {("a", "b1"): 2, ("a", "b2"): 3, ("b1", "c"): 3, ("b2", "c"): -2})
+    return direct_sum(unit_complex(gid="x"), piece)
+
+
+def far_generator(n):
+    """The unit x plus a -> b = G^n, a at (0, -2n) and b at (1, 0)."""
+    gens = [Generator("x", 0, 0), Generator("a", 0, -2 * n), Generator("b", 1, 0)]
+    return GradedComplex(gens, {("a", "b"): 1})
+
+
+def stretched_ck1(n):
+    """C^1 with e and v moved to q = -2n and both G-entries G^n; C^1 at n = 1.
+
+    Its filtration tuple is (0, 1, ..., 1, 2) with n entries after k0, and
+    its distance to the unknot is n.
+    """
+    gens = [Generator("e", -1, -2 * n), Generator("v", 0, -2 * n)]
+    gens += [Generator("u1", 0, 0), Generator("u2", 0, 0), Generator("w", 1, 0)]
+    entries = {("e", "u2"): -1, ("e", "v"): 4, ("u1", "w"): 2, ("u2", "w"): 4, ("v", "w"): 1}
+    return GradedComplex(gens, entries)
+
+
+def reference_distance_d(c1, c2, bound=None):
+    """distance_d by scanning n = 0, 1, 2, ... up to the bound."""
+    if bound is None:
+        bound = default_distance_bound(c1, c2)
+    for n in range(bound + 1):
+        if z_iso_exists(c1, c2, -2 * n) and z_iso_exists(c2, c1, -2 * n):
+            return n
+    return None
 
 
 def reference_reduce(c):
@@ -292,12 +332,12 @@ def reference_image_gcd(source: GradedComplex, target: GradedComplex, qdegree: i
             for y, v in source.out_of(gx.id).items():
                 i = index.get((y, z))
                 if i is not None:
-                    row[i] += v.scalar
+                    row[i] += v
                     used = True
             for w, i in pairs_by_source.get(gx.id, []):
                 dv = target.entry(w, z)
-                if not dv.is_zero():
-                    row[i] -= dv.scalar
+                if dv:
+                    row[i] -= dv
                     used = True
             if used and any(row):
                 rows.append(row)
@@ -343,7 +383,7 @@ def reference_field_normal_form(
     out: dict[str, dict[str, int | Fraction]] = {gid: {} for gid in t}
     inc: dict[str, dict[str, int | Fraction]] = {gid: {} for gid in t}
     for src, tgt, val in complex.iter_entries():
-        x = scalar(val.scalar)
+        x = scalar(val)
         if x:
             out[src][tgt] = inc[tgt][src] = x
 
@@ -488,8 +528,8 @@ def g0_homology_dims(c, char):
         mat = [[0] * len(srcs) for _ in tgts]
         for j, gid in enumerate(srcs):
             for tgt, val in c.out_of(gid).items():
-                if val.gpow == 0:
-                    mat[index[tgt]][j] = val.scalar
+                if c.gen(tgt).qdeg == q:  # G-power (q_tgt - q)/2 is 0
+                    mat[index[tgt]][j] = val
         return field_rank(mat, char)
 
     dims = {(t, q): len(ids) - rank(t, q) - rank(t - 1, q) for (t, q), ids in gens.items()}
@@ -509,8 +549,9 @@ def truncated_homology_dims(c, char, m):
         for j, g in enumerate(srcs):
             for tgt, val in c.out_of(g.id).items():
                 i = tix[tgt]
-                for k in range(m - val.gpow):
-                    mat[i * m + k + val.gpow][j * m + k] = val.scalar
+                gpow = (c.gen(tgt).qdeg - g.qdeg) // 2
+                for k in range(m - gpow):
+                    mat[i * m + k + gpow][j * m + k] = val
         return mat, len(srcs) * m
 
     dims = {}
@@ -592,7 +633,8 @@ def bruteforce_sz(c, coeff_bound=3):
 
 
 def entry_multiset(c):
-    return sorted((v.gpow, abs(v.scalar)) for _, _, v in c.iter_entries())
+    """Sorted (G-power, |scalar|) of every entry."""
+    return sorted(((c.gen(t).qdeg - c.gen(s).qdeg) // 2, abs(v)) for s, t, v in c.iter_entries())
 
 
 # ---------------------------------------------------------------------------

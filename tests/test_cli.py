@@ -182,18 +182,25 @@ def test_validate_command(tmp_path, capsys):
     good.write_text(to_json(build_ck(1)))
     code, out, _ = run(capsys, "validate", str(good))
     assert code == 0 and out.strip() == "valid"
+    # a wrong or negative G-power is rejected as the file is read, naming the entry
     bad = tmp_path / "bad.json"
-    bad.write_text(
-        json.dumps(
-            {
-                "generators": [{"id": "a", "t": 0, "q": 0}, {"id": "b", "t": 1, "q": 0}],
-                "diff": [{"from": "a", "to": "b", "coeff": "1", "gpow": 3}],
-            }
+    messages = {3: "entry a->b: G-power 3, homogeneity forces 0", -1: "entry 0: entry a->b has negative G-power -1"}
+    for gpow, message in messages.items():
+        bad.write_text(
+            json.dumps(
+                {
+                    "generators": [{"id": "a", "t": 0, "q": 0}, {"id": "b", "t": 1, "q": 0}],
+                    "diff": [{"from": "a", "to": "b", "coeff": "1", "gpow": gpow}],
+                }
+            )
         )
-    )
+        code, out, err = run(capsys, "validate", str(bad))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+    # problems of a complex that loads are listed on stdout
+    bad.write_text(to_json(support.invalid_reducing_to_unit()))
     code, out, _ = run(capsys, "validate", str(bad))
     assert code == 1
-    assert "G-power" in out
+    assert out == "d^2 != 0: a->c residue 1*G^0\nd^2 != 0: b->e residue 1*G^0\n"
 
 
 def test_input_error_is_exit_one(capsys):
@@ -288,7 +295,7 @@ def _mutated_ck1(data):
     gens, diff = payload["generators"], payload["diff"]
     ids = [g["id"] for g in gens]
     for _ in range(data.draw(st.integers(1, 3))):
-        kind = data.draw(st.sampled_from(["drop", "retype", "odd_q", "gpow", "dangle"]))
+        kind = data.draw(st.sampled_from(["drop", "retype", "odd_q", "gpow", "dangle", "far"]))
         if kind in ("drop", "retype"):
             target = data.draw(st.sampled_from([d for d in [payload, *gens, *diff] if d]))
             key = data.draw(st.sampled_from(sorted(target)))
@@ -300,6 +307,21 @@ def _mutated_ck1(data):
             data.draw(st.sampled_from(gens))["q"] = data.draw(st.integers(-5, 5)) * 2 + 1
         elif kind == "gpow":
             data.draw(st.sampled_from(diff))["gpow"] = data.draw(st.integers(-2, 4))
+        elif kind == "far":
+            # 10^7 steps in t, or in q with the gpow of its entries following, so
+            # the file stays homogeneous: down when no entry ends at the generator,
+            # up when none starts there
+            gen, axis = data.draw(st.sampled_from(gens)), data.draw(st.sampled_from(["t", "q"]))
+            into = [e for e in diff if e.get("to") == gen.get("id")]
+            out = [e for e in diff if e.get("from") == gen.get("id")]
+            step = -1 if not into else 1 if not out else data.draw(st.sampled_from([-1, 1]))
+            step *= 10**7
+            if type(gen.get(axis)) is int:
+                gen[axis] += 2 * step if axis == "q" else step
+                for entries, sign in ((into, 1), (out, -1)) if axis == "q" else ():
+                    for e in entries:
+                        if type(e.get("gpow")) is int:
+                            e["gpow"] += sign * step
         else:
             entry = data.draw(st.sampled_from(diff))
             entry[data.draw(st.sampled_from(["from", "to"]))] = data.draw(st.sampled_from(["zz", *ids]))
@@ -311,9 +333,8 @@ def _mutated_ck1(data):
 def test_fuzzed_complex_file_exits_cleanly(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps(_mutated_ck1(data)))
-    for command in ("s", "validate"):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            assert main([command, str(path)]) in (0, 1)
+    for argv in (["s"], ["validate"], ["sz"], ["zeq", "PD[]"], ["dist", "PD[]"]):
+        assert _exit_code_within_10s([argv[0], str(path), *argv[1:]]) in (0, 1)
 
 
 @pytest.mark.parametrize(
@@ -376,15 +397,48 @@ def _expire(signum, frame):
     raise TimeoutError("khconc ran for more than 10 s")
 
 
-def _exit_code_within_10s(argv):
+def _run_within_10s(argv):
+    """(exit code, stdout, stderr) of main(argv); TimeoutError after 10 s."""
     previous = signal.signal(signal.SIGALRM, _expire)
     signal.setitimer(signal.ITIMER_REAL, 10)
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return main(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _exit_code_within_10s(argv):
+    return _run_within_10s(argv)[0]
+
+
+# Complexes whose generators sit far apart in t or q; the work must follow the
+# degrees that hold generators, not the span between them
+FAR_APART = {
+    "acyclic piece at t = 10^7": (support.far_acyclic_piece, 10**7, "(0), gl = 0", True, 0),
+    "generator at q = -2*10^7": (support.far_generator, 10**7, "(0), gl = 0", True, 0),
+    "stretched C^1, N = 3": (support.stretched_ck1, 3, "(0, 1, 1, 2), gl = 3", False, 3),
+    "stretched C^1, N = 10^9": (support.stretched_ck1, 10**9, None, False, 10**9),
+}
+
+
+@pytest.mark.parametrize("name", FAR_APART)
+def test_far_apart_degrees_answer_within_10s(tmp_path, name):
+    make, n, sz, zeq, d = FAR_APART[name]
+    path = tmp_path / "far.json"
+    path.write_text(to_json(make(n)))
+    code, out, err = _run_within_10s(["sz", str(path)])
+    if sz is None:
+        assert (code, out) == (1, "")
+        assert err == "error: schuetz_sz: the filtration tuple has gl = 1000000000, above 10000\n"
+    else:
+        assert (code, out) == (0, sz + "\n")
+    code, out, _ = _run_within_10s(["zeq", str(path), "PD[]"])
+    assert code == 0 and out.startswith(f"Z-equivalent: {'yes' if zeq else 'no'}\n")
+    assert _run_within_10s(["dist", str(path), "PD[]"])[:2] == (0, f"d = {d}\n")
 
 
 @settings(max_examples=300, deadline=None)

@@ -22,6 +22,8 @@ from khconc import (
     validate,
 )
 
+from support import monomial
+
 
 def rand_staircase(rng):
     n = rng.randint(0, 3)
@@ -59,12 +61,16 @@ class TestValidate:
         assert validate(empty_complex()) == []
 
     def test_homogeneity_violation(self):
-        c = GradedComplex(
-            [Generator("a", 0, 0), Generator("b", 1, 0)],
-            {("a", "b"): GElem(1, 1)},
-        )
-        problems = validate(c)
-        assert any("G-power" in p for p in problems)
+        # the constructor is where a G-power is checked, so validate never sees one
+        gens = [Generator("a", 0, 0), Generator("b", 1, 0), Generator("c", 1, 2)]
+        with pytest.raises(ValueError, match="entry a->b: G-power 1, homogeneity forces 0"):
+            GradedComplex(gens, {("a", "b"): GElem(1, 1)})
+        for tgt, q in (("b", 1), ("c", 4)):
+            bad = [Generator("a", 0, q)] + gens[1:]
+            with pytest.raises(ValueError, match=f"entry a->{tgt}: no homogeneous monomial fits"):
+                GradedComplex(bad, {("a", tgt): 1})
+        c = GradedComplex(gens, {("a", "c"): GElem(3, 1), ("a", "b"): 0})
+        assert list(c.iter_entries()) == [("a", "c", 3)] and c.entry("a", "b") == 0
 
     def test_square_zero_violation(self):
         gens = [Generator("a", 0, 0), Generator("b", 1, 0), Generator("c", 2, 0)]
@@ -145,7 +151,7 @@ class TestDual:
         tm1 = [g for g in d.generators if g.tdeg == -1]
         assert len(tm1) == 1
         out = d.out_of(tm1[0].id)
-        assert sorted(v.scalar for v in out.values()) == [1, 2]
+        assert sorted(out.values()) == [1, 2]
 
     def test_euler_char_invariant(self):
         rng = random.Random(6)
@@ -172,7 +178,7 @@ class TestTensor:
         assert validate(t) == []
 
         def e(src_l, src_r, tgt_l, tgt_r):
-            return t.entry(f"{src_l}(x){src_r}", f"{tgt_l}(x){tgt_r}")
+            return monomial(t, f"{src_l}(x){src_r}", f"{tgt_l}(x){tgt_r}")
 
         # left factor generators x1, x2, y1; right factor x1, x2, y1,
         # playing the roles of x1, x2, x3 and y1, y2, y3 below.
@@ -256,4 +262,4 @@ def test_json_coeff_precision():
         [Generator("a", 0, 0), Generator("b", 1, 0)],
         {("a", "b"): GElem(big, 0)},
     )
-    assert from_json(to_json(c)).entry("a", "b").scalar == big
+    assert from_json(to_json(c)).entry("a", "b") == big

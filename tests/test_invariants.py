@@ -90,6 +90,16 @@ class TestKnotlike:
         assert {knotlike_check(c) for c in cases} == {True, False}
 
 
+def test_homology_profile_has_the_degrees_of_generators_only():
+    t = 10**7
+    assert integer_homology_profile(support.far_acyclic_piece(t)) == {
+        0: (1, []), t: (0, []), t + 1: (0, []), t + 2: (0, [])
+    }
+    assert knotlike_check(support.far_acyclic_piece(t))
+    torsion = GradedComplex([Generator("a", 3, 0), Generator("b", 4, 0)], {("a", "b"): 2})
+    assert integer_homology_profile(torsion) == {3: (0, []), 4: (0, [2])}
+
+
 class TestRasmussen:
     def test_power_staircases(self):
         for n in (1, 2, 3):
@@ -236,6 +246,27 @@ class TestSchuetzSz:
             expected = support.bruteforce_sz(c)
             assert expected is not None
             assert schuetz_sz(c).as_tuple() == expected
+
+    def test_stretched_ck1_tuple_and_its_bound(self):
+        for n in range(1, 7):
+            c = support.stretched_ck1(n)
+            assert schuetz_sz(c).as_tuple() == support.reference_sz(c).as_tuple() == (0, *[1] * (n - 1), 2)
+        assert schuetz_sz(support.stretched_ck1(invariants._MAX_GL)).gl == invariants._MAX_GL
+        with pytest.raises(ValueError, match="^schuetz_sz: the filtration tuple has gl = 10001, above 10000$"):
+            schuetz_sz(support.stretched_ck1(invariants._MAX_GL + 1))
+
+    def test_one_level_per_qdeg_of_a_degree_zero_generator(self, monkeypatch):
+        # x at q = 0, a at q = -2 * 10^7: two levels, not 10^7
+        levels = []
+        real = invariants._eliminate
+
+        def counting(equations, weight):
+            levels.append(len(weight))
+            return real(equations, weight)
+
+        monkeypatch.setattr(invariants, "_eliminate", counting)
+        assert schuetz_sz(support.far_generator(10**7)).as_tuple() == (0,)
+        assert len(levels) == 2
 
     def test_divisibility_of_indices(self):
         for c in [dual(build_staircase((2, 4, 8))), build_ck(2)]:

@@ -257,11 +257,11 @@ def assert_chain_map(src, tgt, qdeg, fmap):
         for y, v in src.out_of(x).items():
             for (yy, z), u in fmap.items():
                 if yy == y:
-                    lhs[z] = lhs.get(z, 0) + v.scalar * u
+                    lhs[z] = lhs.get(z, 0) + v * u
         for (xx, w), u in fmap.items():
             if xx == x:
                 for z, v in tgt.out_of(w).items():
-                    lhs[z] = lhs.get(z, 0) - u * v.scalar
+                    lhs[z] = lhs.get(z, 0) - u * v
         assert all(val == 0 for val in lhs.values()), (x, lhs)
     for (x, y) in fmap:
         gx, gy = src.gen(x), tgt.gen(y)
@@ -417,6 +417,49 @@ class TestDistance:
         c = build_staircase((2,))
         assert distance_d(c, unit_complex(), 4) == 1
 
+    def test_small_distances_build_the_lattices_of_a_linear_scan(self, monkeypatch):
+        # the lattice workload's two dist pairs, d = 1 and d = 2
+        degrees = []
+        real = zeq._lattice
+
+        def recording(a, b, qdegree, ha, hb):
+            degrees.append(qdegree)
+            return real(a, b, qdegree, ha, hb)
+
+        monkeypatch.setattr(zeq, "_lattice", recording)
+        s24 = build_staircase((2, 4))
+        sigma = tensor(tensor(s24, dual(build_staircase((2,)))), dual(build_staircase((4,))))
+        assert distance_d(build_ck(1), build_ck(2)) == 1
+        assert degrees == [0, 0, -2, -2]
+        degrees.clear()
+        assert distance_d(sigma, s24) == 2
+        assert degrees == [0, 0, -2, -2, -4, -4]
+
+    def test_search_matches_linear_scan(self):
+        """The doubling search and bisection agree with n = 0, 1, 2, ... on every
+        distance case above, the lattice workload's pairs, the stretched C^1 and
+        seeded random pairs, bounds and None answers included."""
+        q = lambda n: shift(unit_complex(), 0, 2 * n)
+        s24 = build_staircase((2, 4))
+        sigma = tensor(tensor(s24, dual(build_staircase((2,)))), dual(build_staircase((4,))))
+        stretched = [(support.stretched_ck1(n), unit_complex(), None) for n in range(1, 7)]
+        cases = stretched + [(build_ck(1), build_ck(2), None), (unit_complex(), q(2), None), (sigma, s24, None)]
+        cases += [(q(m), q(n), 10) for m, n in [(0, 1), (0, 3), (2, 3), (-1, 2)]]
+        cases += [(unit_complex(), q(4), 2), (build_staircase((2,)), unit_complex(), 4), (unit_complex(), q(2), 1)]
+        cases += [(c, c, 5) for c in [unit_complex(), s24]]
+        pool = [unit_complex(), q(1), build_staircase((2,)), build_ck(1)]
+        cases += [(a, b, 6) for a, b in itertools.product(pool, repeat=2)]
+        cases += [(unit_complex(), support.stretched_ck1(n), n - 1) for n in range(1, 7)]
+        rng = random.Random(41)
+        for _ in range(40):
+            a = support.random_knotlike(rng)
+            b = support.scramble(shift(support.random_knotlike(rng), 0, 2 * rng.randint(-3, 3)), rng)
+            cases.append((a, b, rng.choice([None, 0, 1, 2, 3, 5])))
+        answers = [distance_d(a, b, bound) for a, b, bound in cases]
+        assert answers == [support.reference_distance_d(a, b, bound) for a, b, bound in cases]
+        assert answers[: len(stretched)] == [1, 2, 3, 4, 5, 6]
+        assert None in answers and len(set(answers)) > 4
+
 
 class TestInverseWitness:
     def test_zeta_values(self):
@@ -425,14 +468,14 @@ class TestInverseWitness:
 
     def test_unit_complex(self):
         w = inverse_witness(unit_complex())
-        assert list(w.f.values()) == [GElem(1, 0)]
-        assert list(w.g.values()) == [GElem(1, 0)]
+        assert list(w.f.values()) == [1]
+        assert list(w.g.values()) == [1]
 
     def test_staircases_and_ck(self):
         for c in [build_staircase((2,)), build_staircase((2, 4)), build_ck(1)]:
             w = inverse_witness(c)
             assert w.product.total_rank == c.total_rank**2
-            diag = [gid for gid, v in w.f.items() if not v.is_zero()]
+            diag = [gid for gid, v in w.f.items() if v]
             assert len(diag) == c.total_rank
 
     def test_broken_product_is_internal_error(self, monkeypatch):
