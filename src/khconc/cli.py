@@ -165,7 +165,7 @@ def _cmd_stair(args) -> int:
 def _cmd_zeq(args) -> int:
     c1 = _load_complex(args.a, args.cap, None)
     c2 = _load_complex(args.b, args.cap, None)
-    h1, h2 = invariants._h0_class_data(c1), invariants._h0_class_data(c2)
+    h1, h2 = zeq._side(c1), zeq._side(c2)
     fwd = zeq._lattice(c1, c2, 0, h1, h2)
     bwd = zeq._lattice(c2, c1, 0, h2, h1)
     verdict = fwd.image_gcd == 1 and bwd.image_gcd == 1

@@ -53,24 +53,31 @@ def g1_matrix(complex: GradedComplex, tdeg: int) -> tuple[list[list[int]], list[
     """
     srcs = [g.id for g in complex.generators if g.tdeg == tdeg]
     tgts = [g.id for g in complex.generators if g.tdeg == tdeg + 1]
+    return _g1_matrix(complex, srcs, tgts), srcs, tgts
+
+
+def _g1_matrix(complex: GradedComplex, srcs: list[str], tgts: list[str]) -> list[list[int]]:
     tix = {gid: i for i, gid in enumerate(tgts)}
     mat = [[0] * len(srcs) for _ in tgts]
     for j, src in enumerate(srcs):
         for tgt, val in complex.out_of(src).items():
             mat[tix[tgt]][j] = val
-    return mat, srcs, tgts
+    return mat
 
 
 def integer_homology_profile(complex: GradedComplex) -> dict[int, tuple[int, list[int]]]:
     """(free rank, torsion orders > 1) of H(C at G=1) per homological degree
-    of a generator; the homology is zero in every other degree."""
+    of a generator; the homology is zero in every other degree.  The
+    generators are grouped by degree in one scan, not one scan per degree."""
     rank, kernel, torsion = {}, {}, {}
-    degrees = sorted({g.tdeg for g in complex.generators})
+    by_t: dict[int, list[str]] = {}
+    for g in complex.generators:
+        by_t.setdefault(g.tdeg, []).append(g.id)
+    degrees = sorted(by_t)
     for t in degrees:
-        mat, srcs, _ = g1_matrix(complex, t)
-        facs = intmat.smith_form(mat)
+        facs = intmat.smith_form(_g1_matrix(complex, by_t[t], by_t.get(t + 1, [])))
         rank[t] = len(facs)
-        kernel[t] = len(srcs) - len(facs)
+        kernel[t] = len(by_t[t]) - len(facs)
         torsion[t] = [f for f in facs if f > 1]
     return {t: (kernel[t] - rank.get(t - 1, 0), torsion.get(t - 1, [])) for t in degrees}
 

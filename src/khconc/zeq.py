@@ -12,10 +12,12 @@ lambda(lattice) = g Z has g = 1.  No enumeration of maps is needed.
 
 g is found without a basis of the lattice, by simplify._eliminate:
 unimodular column operations on the sparse equations, with the weight of
-lambda as one more row, restricted to the blocks of equations linked to
-the weight.  Once no equation is left every unknown is free, so g is the
-gcd of what remains of the weight.  A kernel basis of the whole system is
-computed only if ChainMapLattice.basis is read.
+lambda as one more row.  Only the weight's block is built: the unknowns
+and equations a walk from the weight's unknowns reaches through the
+equations that hold them.  The other blocks share no unknown with it, and
+lambda is 0 on their kernels.  Once no equation is left every unknown is
+free, so g is the gcd of what remains of the weight.  A kernel basis of
+the block is computed only if ChainMapLattice.basis is read.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ from .complexes import GradedComplex, InternalInvariantError, _require_valid, du
 from .invariants import _h0_class_data, _reduced
 from .simplify import _Form, _eliminate
 
-# _h0_class_data's (t = 0 ids, class covector, generator cycle)
-_H0Data = tuple[list[str], list[int], list[int]]
-
 
 def generator_cycle(complex: GradedComplex) -> dict[str, int]:
     """An integer cycle at G = 1 whose class generates H_0; deterministic."""
@@ -44,16 +43,16 @@ def generator_cycle(complex: GradedComplex) -> dict[str, int]:
 class ChainMapLattice:
     """Lattice of homogeneous chain maps source -> target of one quantum degree.
 
-    pairs[i] is the (source id, target id) generator pair of unknown i.
-    image_gcd generates the subgroup {lambda(f)} of Z, where lambda(f) is the
+    pairs[i] is the (source id, target id) generator pair of unknown i; the
+    unknowns and equations are those of the weight's block only.  image_gcd
+    generates the subgroup {lambda(f)} of Z, where lambda(f) is the
     multiplier that f induces on H_0(. at G=1): the target's class covector
     applied to the image of the source's generator cycle.  It is the gcd of
     what _eliminate leaves of the weight of lambda.  witness() gives one chain
     map f with lambda(f) = image_gcd by undoing _eliminate's column
-    operations.  These cover only the blocks of equations linked to the
-    weight, so every other unknown is 0 in the witness.  basis, integer
-    kernel vectors of the chain-map equations, is computed only when it is
-    read; image_gcd does not need it.
+    operations; every pair outside the block is 0 in it.  basis, integer
+    kernel vectors of the block's equations over the block's unknowns, is
+    computed only when it is read; image_gcd does not need it.
     """
 
     qdegree: int
@@ -68,7 +67,7 @@ class ChainMapLattice:
 
     @functools.cached_property
     def basis(self) -> list[list[int]]:
-        """intmat.kernel_basis of the equations as dense rows, over all the unknowns."""
+        """intmat.kernel_basis of the block's equations as dense rows, over its unknowns."""
         n = len(self.pairs)
         rows = []
         for eq in self._equations:
@@ -123,24 +122,6 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return (s0, t0) if a >= 0 else (-s0, -t0)
 
 
-def admissible_pairs(
-    source: GradedComplex, target: GradedComplex, qdegree: int
-) -> list[tuple[str, str, int]]:
-    """(x, y, gpow) triples a degree-qdegree map may connect."""
-    if qdegree % 2 != 0:
-        raise ValueError(f"quantum degree must be even, got {qdegree}")
-    out = []
-    tgt_by_t: dict[int, list] = {}
-    for g in target.generators:
-        tgt_by_t.setdefault(g.tdeg, []).append(g)
-    for gx in source.generators:
-        for gy in tgt_by_t.get(gx.tdeg, []):
-            c2 = gy.qdeg - gx.qdeg - qdegree
-            if c2 >= 0 and c2 % 2 == 0:
-                out.append((gx.id, gy.id, c2 // 2))
-    return out
-
-
 def chain_map_lattice(
     source: GradedComplex, target: GradedComplex, qdegree: int
 ) -> ChainMapLattice:
@@ -153,42 +134,65 @@ def chain_map_lattice(
     return _lattice(source, target, qdegree, _h0_class_data(source), _h0_class_data(target))
 
 
-def _lattice(
-    source: GradedComplex, target: GradedComplex, qdegree: int, src_h0: _H0Data, tgt_h0: _H0Data
-) -> ChainMapLattice:
-    """chain_map_lattice given both complexes' _h0_class_data."""
-    ssrcs, _, cycle = src_h0
-    tsrcs, phi, _ = tgt_h0
-    pairs = [(x, y) for x, y, _ in admissible_pairs(source, target, qdegree)]
-    pairs_by_source: dict[str, list[tuple[str, int]]] = {}
-    for i, (x, y) in enumerate(pairs):
-        pairs_by_source.setdefault(x, []).append((y, i))
+def _inverse(complex: GradedComplex) -> dict[str, tuple[int, list[tuple[str, int]]]]:
+    """Each generator's position and the entries (w, d(w, .)) into it, w in generator order."""
+    into: dict[str, tuple[int, list[tuple[str, int]]]] = {gid: (k, []) for k, gid in enumerate(complex.ids())}
+    for w, x, v in complex.iter_entries():
+        into[x][1].append((w, v))
+    return into
 
-    # (f d - d f)(x) = 0 is one equation per target generator z one degree
-    # up, taken in the order of x, then of z in the target
-    position = {g.id: k for k, g in enumerate(target.generators)}
-    equations: list[_Form] = []
-    for gx in source.generators:
-        by_z: dict[str, _Form] = {}
-        for y, v in source.out_of(gx.id).items():
-            for z, i in pairs_by_source.get(y, ()):
-                eq = by_z.setdefault(z, {})
-                eq[i] = eq.get(i, 0) + v
-        for w, i in pairs_by_source.get(gx.id, ()):
-            for z, v in target.out_of(w).items():
-                eq = by_z.setdefault(z, {})
-                eq[i] = eq.get(i, 0) - v
-        for z in sorted(by_z, key=position.__getitem__):
-            eq = {i: c for i, c in by_z[z].items() if c}
-            if eq:
-                equations.append(eq)
 
+def _side(complex: GradedComplex) -> tuple:
+    """_h0_class_data followed by _inverse: what _lattice reads of one complex."""
+    return (*_h0_class_data(complex), _inverse(complex))
+
+
+def _lattice(source: GradedComplex, target: GradedComplex, qdegree: int, src: tuple, tgt: tuple) -> ChainMapLattice:
+    """chain_map_lattice given both complexes' _h0_class_data, each maybe followed by _inverse.
+
+    Unknown (x, y) lies in the equations (w, y) for w -> x and (x, z) for
+    y -> z; equation (x, z) holds the admissible (y, z) for x -> y and
+    (x, w) for w -> z.  The walk from the weight's unknowns closes under
+    both rules, so every equation holding a reached unknown is built.  Pairs
+    (x, y) and (x, z) are ordered by source, then target position, and the
+    keys of (x, z) by out_of(x), then the entries into z: the full build's
+    forms and tie-breaks, restricted to the weight's block.
+    """
+    if qdegree % 2 != 0:
+        raise ValueError(f"quantum degree must be even, got {qdegree}")
+    ssrcs, _, cycle, *known = src
+    tsrcs, phi, _, *tknown = tgt
+    s_in = known[0] if known else _inverse(source)
+    t_in = tknown[0] if tknown else _inverse(target)
+
+    def admissible(x: str, y: str) -> bool:
+        c2 = target.gen(y).qdeg - source.gen(x).qdeg - qdegree
+        return c2 >= 0 and c2 % 2 == 0
+
+    alpha = {x: a for x, a in zip(ssrcs, cycle) if a}
+    beta = {y: b for y, b in zip(tsrcs, phi) if b}
+    todo = [(x, y) for x in alpha for y in beta if admissible(x, y)]
+    reached = set(todo)
+    # (f d - d f)(x) = 0 at z, as (pair, coefficient) in the full build's key order
+    forms: dict[tuple[str, str], list[tuple[tuple[str, str], int]]] = {}
+    while todo:
+        a, b = todo.pop()
+        for x, z in [(w, b) for w, _ in s_in[a][1]] + [(a, z) for z in target.out_of(b)]:
+            if (x, z) not in forms:
+                form = [((y, z), v) for y, v in source.out_of(x).items() if admissible(y, z)]
+                form += [((x, w), -v) for w, v in t_in[z][1] if admissible(x, w)]
+                forms[x, z] = form
+                todo += [pair for pair, _ in form if pair not in reached]
+                reached.update(pair for pair, _ in form)
+
+    def order(pair: tuple[str, str]) -> tuple[int, int]:
+        return s_in[pair[0]][0], t_in[pair[1]][0]
+
+    pairs = sorted(reached, key=order)
+    index = {pair: i for i, pair in enumerate(pairs)}
+    equations = [{index[pair]: c for pair, c in forms[key]} for key in sorted(forms, key=order)]
     # lambda(f) = phi . f(z), linear in the unknowns with weight z[x] * phi[y]
-    alpha = dict(zip(ssrcs, cycle))
-    beta = dict(zip(tsrcs, phi))
-    weight = {
-        i: alpha[x] * beta[y] for i, (x, y) in enumerate(pairs) if alpha.get(x) and beta.get(y)
-    }
+    weight = {i: alpha[x] * beta[y] for i, (x, y) in enumerate(pairs) if x in alpha and y in beta}
     steps, rest = _eliminate(equations, weight)
     return ChainMapLattice(qdegree, pairs, math.gcd(*rest.values()), equations, weight, steps, rest)
 
@@ -206,10 +210,11 @@ def z_iso_exists(source: GradedComplex, target: GradedComplex, qdegree: int) -> 
 def z_equivalent(c1: GradedComplex, c2: GradedComplex) -> bool:
     """Z-isomorphisms of quantum degree 0 in both directions.
 
-    Each complex is validated, reduced and given its H_0 class data once.
+    Each complex is validated, reduced and given its H_0 class data and
+    reverse map (_side) once.
     """
     c1, c2 = _reduced(c1, "z_equivalent"), _reduced(c2, "z_equivalent")
-    h1, h2 = _h0_class_data(c1), _h0_class_data(c2)
+    h1, h2 = _side(c1), _side(c2)
     return _lattice(c1, c2, 0, h1, h2).image_gcd == 1 and _lattice(c2, c1, 0, h2, h1).image_gcd == 1
 
 
@@ -229,16 +234,16 @@ def distance_d(c1: GradedComplex, c2: GradedComplex, bound: int | None = None) -
     bound was hit.
 
     The default bound is taken from the complexes as given.  Both are then
-    validated and reduced, and the H_0 class data of each is computed once
-    and reused at every degree.  chain_map_lattice, by contrast, works on
-    the complexes as given.
+    validated and reduced, and the H_0 class data and reverse map of each
+    (_side) are computed once and reused at every degree.
+    chain_map_lattice, by contrast, works on the complexes as given.
     """
     if bound is None:
         bound = default_distance_bound(c1, c2)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     c1, c2 = _reduced(c1, "distance_d"), _reduced(c2, "distance_d")
-    h1, h2 = _h0_class_data(c1), _h0_class_data(c2)
+    h1, h2 = _side(c1), _side(c2)
     directions = ((c1, c2, h1, h2), (c2, c1, h2, h1))
 
     def both_ways(n: int) -> bool:

@@ -16,7 +16,7 @@ from khconc.complexes import _require_valid
 from khconc.invariants import g1_matrix, integer_homology_profile, tuple_from_filtration
 from khconc.khovanov import PDCode
 from khconc.simplify import NormalForm, NotKnotLikeError, check_characteristic, reduce
-from khconc.zeq import admissible_pairs, default_distance_bound, z_iso_exists
+from khconc.zeq import default_distance_bound, z_iso_exists
 
 
 def monomial(c, src, tgt):
@@ -57,6 +57,14 @@ def far_generator(n):
     """The unit x plus a -> b = G^n, a at (0, -2n) and b at (1, 0)."""
     gens = [Generator("x", 0, 0), Generator("a", 0, -2 * n), Generator("b", 1, 0)]
     return GradedComplex(gens, {("a", "b"): 1})
+
+
+def non_unit_squares(n):
+    """The unit plus n squares a_i -> b_i = 2 at t = 2i + 1, 2i + 2: rank 2n + 1, not knot-like."""
+    gens = [Generator("u", 0, 0)]
+    for i in range(n):
+        gens += [Generator(f"a{i}", 2 * i + 1, 0), Generator(f"b{i}", 2 * i + 2, 0)]
+    return GradedComplex(gens, {(f"a{i}", f"b{i}"): 2 for i in range(n)})
 
 
 def stretched_ck1(n):
@@ -301,6 +309,59 @@ def reference_sz(c):
         kern = intmat.kernel_basis(sub, ncols=len(keep))
         m_by_k[k] = math.gcd(*(sum(phi[j] * u for j, u in zip(keep, vec)) for vec in kern))
     return tuple_from_filtration(m_by_k)
+
+
+def admissible_pairs(source: GradedComplex, target: GradedComplex, qdegree: int) -> list[tuple[str, str, int]]:
+    """(x, y, gpow) triples a degree-qdegree map may connect, every one of them."""
+    if qdegree % 2 != 0:
+        raise ValueError(f"quantum degree must be even, got {qdegree}")
+    out = []
+    tgt_by_t: dict[int, list] = {}
+    for g in target.generators:
+        tgt_by_t.setdefault(g.tdeg, []).append(g)
+    for gx in source.generators:
+        for gy in tgt_by_t.get(gx.tdeg, []):
+            c2 = gy.qdeg - gx.qdeg - qdegree
+            if c2 >= 0 and c2 % 2 == 0:
+                out.append((gx.id, gy.id, c2 // 2))
+    return out
+
+
+def reference_lattice_system(source: GradedComplex, target: GradedComplex, qdegree: int, src_h0, tgt_h0):
+    """(pairs, equations, weight) of the full chain-map system, every block built.
+
+    One unknown per admissible pair, in admissible_pairs order, and one
+    sparse equation per source generator x and target generator z one degree
+    up, taken in the order of x, then of z in the target, zero ones dropped;
+    the weight of lambda is z[x] * phi[y] from the given _h0_class_data.
+    zeq._lattice builds the weight's block of this system only.
+    """
+    ssrcs, _, cycle = src_h0
+    tsrcs, phi, _ = tgt_h0
+    pairs = [(x, y) for x, y, _ in admissible_pairs(source, target, qdegree)]
+    pairs_by_source: dict[str, list[tuple[str, int]]] = {}
+    for i, (x, y) in enumerate(pairs):
+        pairs_by_source.setdefault(x, []).append((y, i))
+    position = {g.id: k for k, g in enumerate(target.generators)}
+    equations: list[dict[int, int]] = []
+    for gx in source.generators:
+        by_z: dict[str, dict[int, int]] = {}
+        for y, v in source.out_of(gx.id).items():
+            for z, i in pairs_by_source.get(y, ()):
+                eq = by_z.setdefault(z, {})
+                eq[i] = eq.get(i, 0) + v
+        for w, i in pairs_by_source.get(gx.id, ()):
+            for z, v in target.out_of(w).items():
+                eq = by_z.setdefault(z, {})
+                eq[i] = eq.get(i, 0) - v
+        for z in sorted(by_z, key=position.__getitem__):
+            eq = {i: c for i, c in by_z[z].items() if c}
+            if eq:
+                equations.append(eq)
+    alpha = dict(zip(ssrcs, cycle))
+    beta = dict(zip(tsrcs, phi))
+    weight = {i: alpha[x] * beta[y] for i, (x, y) in enumerate(pairs) if alpha.get(x) and beta.get(y)}
+    return pairs, equations, weight
 
 
 def reference_image_gcd(source: GradedComplex, target: GradedComplex, qdegree: int) -> int:

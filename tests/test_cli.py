@@ -441,6 +441,15 @@ def test_far_apart_degrees_answer_within_10s(tmp_path, name):
     assert _run_within_10s(["dist", str(path), "PD[]"])[:2] == (0, f"d = {d}\n")
 
 
+def test_many_degrees_answer_within_10s(tmp_path):
+    # 20 001 generators over 20 001 degrees: homology must not scan every
+    # generator once per degree
+    path = tmp_path / "squares.json"
+    path.write_text(to_json(support.non_unit_squares(10_000)))
+    code, out, err = _run_within_10s(["sz", str(path)])
+    assert (code, out) == (1, "") and "rank 20001 is not knot-like" in err
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     command=st.sampled_from(["s", "sz", "kh"]),

@@ -23,8 +23,8 @@ from khconc import (
     z_equivalent,
     z_iso_exists,
 )
-from khconc import complexes, invariants, parse_braid, reduce
-from khconc.invariants import integer_homology_profile, tuple_from_filtration
+from khconc import complexes, intmat, invariants, parse_braid, reduce
+from khconc.invariants import g1_matrix, integer_homology_profile, tuple_from_filtration
 
 import support
 from cube import exact_cube
@@ -98,6 +98,26 @@ def test_homology_profile_has_the_degrees_of_generators_only():
     assert knotlike_check(support.far_acyclic_piece(t))
     torsion = GradedComplex([Generator("a", 3, 0), Generator("b", 4, 0)], {("a", "b"): 2})
     assert integer_homology_profile(torsion) == {3: (0, []), 4: (0, [2])}
+
+
+def test_homology_profile_is_that_of_one_matrix_per_degree():
+    """The profile groups the generators by degree once; it still equals the
+    Smith forms of g1_matrix taken degree by degree, on the staircase family
+    and on complexes with torsion at G = 1."""
+
+    def per_degree(c):
+        degrees = sorted({g.tdeg for g in c.generators})
+        facs = {t: intmat.smith_form(g1_matrix(c, t)[0]) for t in degrees}
+        kernel = {t: len(g1_matrix(c, t)[1]) - len(facs[t]) for t in degrees}
+        return {t: (kernel[t] - len(facs.get(t - 1, [])), [f for f in facs.get(t - 1, []) if f > 1]) for t in degrees}
+
+    chains = [(), (0,), (2,), (3,), (2, 4), (3, 9), (2, 4, 8), (2, 2, 2)]
+    stairs = [build_staircase(chain) for chain in chains]
+    cases = stairs + [tensor(a, dual(b)) for a in stairs[2:5] for b in stairs[2:5]]
+    cases += [support.torsion_h0(), support.non_unit_squares(5), support.far_acyclic_piece(3)]
+    profiles = [integer_homology_profile(c) for c in cases]
+    assert profiles == [per_degree(c) for c in cases]
+    assert any(torsion for p in profiles for _, torsion in p.values())
 
 
 class TestRasmussen:

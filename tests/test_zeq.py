@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -30,6 +31,7 @@ from khconc import (
 )
 from khconc import intmat, zeq
 from khconc.invariants import _h0_class_data
+from khconc.simplify import _eliminate
 from khconc.zeq import zeta
 
 import support
@@ -99,7 +101,8 @@ class TestChainMapLattice:
     def test_basis_vectors_are_chain_maps_on_random_pairs(self):
         rng = random.Random(53)
         checked = 0
-        for _ in range(10):
+        # basis covers the weight's block only, so 25 draws reach the 100 vectors
+        for _ in range(25):
             a = support.random_knotlike(rng)
             b = support.scramble(support.random_knotlike(rng), rng)
             for src, tgt in ((a, b), (b, a), (a, support.scramble(a, rng))):
@@ -113,7 +116,8 @@ class TestChainMapLattice:
 
 @pytest.fixture(scope="module")
 def fig8_pair():
-    """C^1 (x) 4_1 (x) 4_1 (rank 125) and a scramble of it: 1553 unknowns at q = 0."""
+    """C^1 (x) 4_1 (x) 4_1 (rank 125) and a scramble of it: 1553 admissible pairs at
+    q = 0, of which the weight's block holds 9."""
     fig8 = reduce(build_complex(parse_braid("BR[3; 1,-2,1,-2]")))
     big = tensor(tensor(build_ck(1), fig8), fig8)
     return big, support.scramble(big, random.Random(5), moves=60)
@@ -170,23 +174,68 @@ def test_witness_is_a_chain_map_with_lambda_image_gcd(fig8_pair):
 def test_elimination_stays_in_the_weights_block(fig8_pair):
     big, sheared = fig8_pair
     lat = chain_map_lattice(big, sheared, 0)
-    parent = list(range(len(lat.pairs)))
+    # the blocks of the full system, from the oracle's build of every equation
+    pairs, equations, weight = support.reference_lattice_system(
+        big, sheared, 0, _h0_class_data(big), _h0_class_data(sheared)
+    )
+    parent = list(range(len(pairs)))
 
     def root(u):
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         return u
 
-    for eq in lat._equations:
+    for eq in equations:
         first, *others = eq
         for v in others:
             parent[root(v)] = root(first)
-    roots = {root(u) for u in lat._weight}
-    block = {u for u in range(len(lat.pairs)) if root(u) in roots}
-    assert len(block) < len(lat.pairs) // 10, len(block)
-    assert lat._steps and all(u in block and v in block for u, v, _ in lat._steps)
-    # the witness is still checked against all the equations
+    roots = {root(u) for u in weight}
+    block = {pairs[u] for u in range(len(pairs)) if root(u) in roots}
+    assert len(block) < len(pairs) // 10, len(block)
+    # the lattice builds exactly the weight's block
+    assert set(lat.pairs) == block
+    assert lat._steps and all(lat.pairs[u] in block and lat.pairs[v] in block for u, v, _ in lat._steps)
+    # the witness is still checked against every equation of the block
     assert lat.witness() and lat.image_gcd == 1
+
+
+def full_lattice(src, tgt, qdeg):
+    """The ChainMapLattice of the oracle's full system, eliminated as zeq does."""
+    pairs, equations, weight = support.reference_lattice_system(
+        src, tgt, qdeg, _h0_class_data(src), _h0_class_data(tgt)
+    )
+    steps, rest = _eliminate(equations, weight)
+    return zeq.ChainMapLattice(qdeg, pairs, math.gcd(*rest.values()), equations, weight, steps, rest)
+
+
+def test_walk_gives_the_full_builds_answer_and_witness(fig8_pair):
+    cases = [fig8_pair, fig8_pair[::-1]] + small_lattice_pairs()
+    for a, b in cases:
+        for q in (0, -2, -4):
+            lat, full = chain_map_lattice(a, b, q), full_lattice(a, b, q)
+            assert lat.image_gcd == full.image_gcd, (a, b, q)
+            assert list(lat.witness().items()) == list(full.witness().items()), (a, b, q)
+            # closed: every full equation that holds a walked unknown is walked,
+            # with the same coefficients, keys in the same order, in the same order
+            walked = set(lat.pairs)
+            touching = [
+                [(full.pairs[i], c) for i, c in eq.items()]
+                for eq in full._equations
+                if any(full.pairs[i] in walked for i in eq)
+            ]
+            assert touching == [[(lat.pairs[i], c) for i, c in eq.items()] for eq in lat._equations]
+
+
+def test_large_self_lattice_builds_a_twentieth_of_the_pairs():
+    """C (x) C for the clasped 3_1 double C, reduced to rank 1225."""
+    double = build_complex(support.double_pd(parse_braid("BR[2; 1,1,1]"), clasp="A"), cap=14)
+    product = reduce(tensor(double, double))
+    assert product.total_rank == 1225
+    assert z_equivalent(product, product)
+    lat = chain_map_lattice(product, product, 0)
+    admissible = len(support.admissible_pairs(product, product, 0))
+    assert len(lat.pairs) < admissible // 20, (len(lat.pairs), admissible)
+    assert lat.image_gcd == full_lattice(product, product, 0).image_gcd == 1
 
 
 def test_broken_witness_is_internal_error():
@@ -221,7 +270,7 @@ def test_lattice_takes_no_kernel_basis_over_its_unknowns(monkeypatch, fig8_pair)
         cols.clear()
         z_equivalent(a, b)
         ra, rb = reduce(a), reduce(b)
-        unknowns = min(len(zeq.admissible_pairs(ra, rb, 0)), len(zeq.admissible_pairs(rb, ra, 0)))
+        unknowns = min(len(support.admissible_pairs(ra, rb, 0)), len(support.admissible_pairs(rb, ra, 0)))
         assert cols and max(cols) < unknowns, (cols, unknowns)
     # basis alone pays for a kernel over every unknown, and only when read
     lat = chain_map_lattice(build_ck(1), build_ck(2), 0)
@@ -309,9 +358,7 @@ class TestZIso:
 
 
 def bruteforce_z_iso(src, tgt, qdeg, bound=3):
-    from khconc.zeq import admissible_pairs
-
-    triples = admissible_pairs(src, tgt, qdeg)
+    triples = support.admissible_pairs(src, tgt, qdeg)
     pairs = [(x, y) for x, y, _ in triples]
     if len(pairs) > 6:
         return False
