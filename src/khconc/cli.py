@@ -55,11 +55,11 @@ def _load_complex(
     A diagram's assembled complex has no unit entries left, so it is
     returned as built.  A file is validated first and reduced only once
     validate accepts it, since cancelling can turn an invalid complex into a
-    valid one.  The invariants reduce their input again, which is cheap on a
-    reduced complex; the chain-map lattice behind zeq works on the complex
-    as given.  --cap and --basepoint act on diagrams only: with single (s
-    and sz) either flag on a file is an input error, while zeq's and
-    dist's --cap may be meant for the other input.
+    valid one.  The invariants cancel units in their input again, which is
+    cheap on a reduced complex; the chain-map lattice behind zeq works on
+    the complex as given.  --cap and --basepoint act on diagrams only: with
+    single (s and sz) either flag on a file is an input error, while zeq's
+    and dist's --cap may be meant for the other input.
     """
     stripped = token.strip()
     pd = _parse_diagram(stripped, basepoint)

@@ -136,8 +136,9 @@ class LaurentBiPoly:
 
 class GradedComplex:
     """Immutable bigraded complex of int scalars, built from int or GElem
-    entries: a G-power its ends do not force (or admit, for an int) raises
-    ValueError naming the entry, and zero entries are dropped."""
+    entries: a scalar whose type is not int, or a G-power its ends do not
+    force (or admit, for an int), raises ValueError naming the entry, and
+    zero entries are dropped."""
 
     __slots__ = ("_gens", "_out")
 
@@ -155,15 +156,17 @@ class GradedComplex:
         for (src, tgt), val in entries.items():
             if src not in gens or tgt not in gens:
                 raise ValueError(f"entry {src!r}->{tgt!r} references unknown generator")
+            gs, gt = gens[src], gens[tgt]
             val, gpow = (val.scalar, val.gpow) if isinstance(val, GElem) else (val, None)
+            if type(val) is not int:
+                raise ValueError(f"entry {src}->{tgt}: scalar {val!r} is not an int")
             if not val:
                 continue
-            gs, gt = gens[src], gens[tgt]
-            want = expected_gpow(gs, gt)
-            if want is None:
+            diff = gt.qdeg - gs.qdeg
+            if diff < 0 or diff & 1:
                 raise ValueError(f"entry {src}->{tgt}: no homogeneous monomial fits qdeg {gs.qdeg}->{gt.qdeg}")
-            if gpow not in (None, want):
-                raise ValueError(f"entry {src}->{tgt}: G-power {gpow}, homogeneity forces {want}")
+            if gpow is not None and gpow != diff >> 1:
+                raise ValueError(f"entry {src}->{tgt}: G-power {gpow}, homogeneity forces {diff >> 1}")
             out[src][tgt] = val
         self._gens = gens
         self._out = out
@@ -281,27 +284,26 @@ def expected_gpow(src: Generator, tgt: Generator) -> int | None:
 
 
 def validate(complex: GradedComplex) -> list[str]:
-    """All invariant violations of the complex; empty list means admissible."""
-    problems: list[str] = []
-    for g in complex.generators:
-        if g.qdeg % 2 != 0:
-            problems.append(f"generator {g.id}: odd quantum degree {g.qdeg}")
-    for src, tgt, _ in complex.iter_entries():
-        step = complex.gen(tgt).tdeg - complex.gen(src).tdeg
-        if step != 1:
-            problems.append(f"entry {src}->{tgt}: homological step {step} != 1")
-    # d o d = 0: every path x -> y -> z has the G-power (q_z - q_x)/2, so
-    # the scalars are summed per target
-    for x in complex.ids():
+    """All invariant violations of the complex, found in one walk over each row:
+    odd qdegs, steps other than 1, then d^2 residues; [] means admissible."""
+    gens, out = complex._gens, complex._out
+    problems = [f"generator {g.id}: odd quantum degree {g.qdeg}" for g in gens.values() if g.qdeg % 2]
+    residues: list[str] = []
+    for x, row in out.items():
+        tx, qx = gens[x].tdeg, gens[x].qdeg
+        # d o d = 0: every path x -> y -> z has the G-power (q_z - q_x)/2, so
+        # the scalars are summed per target
         acc: dict[str, int] = {}
-        for y, v1 in complex.out_of(x).items():
-            for z, v2 in complex.out_of(y).items():
+        for y, v1 in row.items():
+            step = gens[y].tdeg - tx
+            if step != 1:
+                problems.append(f"entry {x}->{y}: homological step {step} != 1")
+            for z, v2 in out[y].items():
                 acc[z] = acc.get(z, 0) + v1 * v2
         for z, scal in acc.items():
-            if scal != 0:
-                gp = (complex.gen(z).qdeg - complex.gen(x).qdeg) // 2
-                problems.append(f"d^2 != 0: {x}->{z} residue {scal}*G^{gp}")
-    return problems
+            if scal:
+                residues.append(f"d^2 != 0: {x}->{z} residue {scal}*G^{(gens[z].qdeg - qx) // 2}")
+    return problems + residues
 
 
 def _require_valid(complex: GradedComplex, layer: str) -> None:

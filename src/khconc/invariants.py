@@ -10,15 +10,16 @@ take "supported in degree >= k" as the meaning of the filtration level k,
 and the tuple entries are the successive subgroup indices.
 
 Cancelling a unit entry is a homotopy equivalence over Z[G], so the
-invariant entry points (rasmussen_s, schuetz_sz, and z_iso_exists and
-distance_d in zeq) validate their input, then reduce it, and work on the
-reduced complex.  Validation comes first because cancelling can turn an
-invalid complex into a valid one.  The routines whose output names the
-input's generators or describes it as given (the field normal form, the
-homology profile, the H_0 class data and zeq's chain-map lattice) work on
-the complex as given.  The entry points validate their input in _reduced
-(rasmussen_s again in field_normal_form); the H_0 class data, which several
-of them share, assumes input that has passed validate.
+invariant entry points (schuetz_sz, and z_iso_exists and distance_d in zeq)
+validate their input, then reduce it, and work on the reduced complex.
+Validation comes first because cancelling can turn an invalid complex into
+a valid one.  rasmussen_s hands the complex as given to field_normal_form,
+which validates it and then cancels the units on its own store.  The
+routines whose output names the input's generators or describes it as
+given (the homology profile, the H_0 class data and zeq's chain-map
+lattice) work on the complex as given.  The entry points validate their
+input once, in _reduced or field_normal_form; the H_0 class data, which
+several of them share, assumes input that has passed validate.
 
 At G = 1 every +-1 entry is a unit, whatever its G-power, so knot-likeness
 and the H_0 class data cancel all of them first (Bar-Natan's Gaussian
@@ -142,7 +143,7 @@ def _knotlike(remainder: GradedComplex) -> bool:
 
 def rasmussen_s(complex: GradedComplex, characteristic: int) -> int:
     """Quantum degree of the rank-one summand of C (x) F[G], char F given."""
-    _, nf = field_normal_form(_reduced(complex, "rasmussen_s"), characteristic)
+    _, nf = field_normal_form(complex, characteristic)
     if nf.s is None:
         raise NotKnotLikeError("empty complex has no distinguished summand")
     return nf.s

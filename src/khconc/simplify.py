@@ -12,9 +12,10 @@ store of the complex's plain scalars, with G-powers implied by the degrees.
     A rejected trial move is undone by its inverse move.
   * field_normal_form: over a field F the complex tensored with F[G]
     decomposes into a single free rank-one summand, two-generator pieces
-    F[G] --G^c--> F[G] with c > 0, and an acyclic remainder.  Over F every
-    entry is a pivot, so reduce's elimination loop, taking the entry of
-    least G-power first, leaves the free summand and reports the pieces.
+    F[G] --G^c--> F[G] with c > 0, and an acyclic remainder.  It cancels
+    the units over Z as reduce does; then, on the same store over F, every
+    entry is a pivot, and reduce's loop, taking the entry of least G-power
+    first, leaves the free summand and reports the pieces.
 
 _eliminate, the sparse integer elimination behind the filtration tuple and
 zeq's chain-map lattice, takes Euclid's steps on linear forms toward a
@@ -50,31 +51,28 @@ class _Store:
 
     __slots__ = ("deg", "out", "inc", "heap", "p")
 
-    def __init__(self, p: int | None):
+    def __init__(self):
         self.deg: dict[str, tuple[int, int]] = {}
         self.out: dict[str, dict[str, int | Fraction]] = {}
         self.inc: dict[str, dict[str, int | Fraction]] = {}
         self.heap: list[tuple[int, int, str, str]] = []
-        self.p = p
+        self.p: int | None = None
 
     @classmethod
-    def load(cls, complex: GradedComplex, p: int | None = None) -> "_Store":
-        """The complex as scalars in the store's ring, zero residues dropped."""
-        store = cls(p)
-        deg, out, inc, heap = store.deg, store.out, store.inc, store.heap
+    def load(cls, complex: GradedComplex) -> "_Store":
+        """The complex's int scalars, each generator's row read once."""
+        store = cls()
+        deg, out, inc, heap, pivot = store.deg, store.out, store.inc, store.heap, store.pivot
         for g in complex.generators:
             deg[g.id] = (g.tdeg, g.qdeg)
-            out[g.id] = {}
             inc[g.id] = {}
-        for src, tgt, v in complex.iter_entries():
-            ts, qs = deg[src]
-            qt = deg[tgt][1]
-            if p is not None:
-                v = Fraction(v) if p == 0 else v % p
-            if v:
-                out[src][tgt] = inc[tgt][src] = v
-                if store.pivot(v, qt - qs):
-                    heap.append((qt - qs, ts, src, tgt))
+        for src, (ts, qs) in deg.items():
+            row = out[src] = dict(complex.out_of(src))
+            for tgt, v in row.items():
+                inc[tgt][src] = v
+                dq = deg[tgt][1] - qs
+                if pivot(v, dq):
+                    heap.append((dq, ts, src, tgt))
         return store
 
     def pivot(self, v: int | Fraction, dq: int) -> bool:
@@ -366,10 +364,11 @@ def field_normal_form(
     """Gaussian elimination of C (x) F[G] down to its decomposition.
 
     The complex must pass validate.  An entry v -> w is lambda*G^c with
-    c = (q_w - q_v)/2, so the store holds only the field scalars lambda.  The entry of least G-power divides its
-    whole row and column, so it is cancelled first; a cancelled pair with
-    c > 0 is a piece F[G] --G^c--> F[G].  Exactly one generator must
-    survive, in homological degree 0, and its quantum degree is s.
+    c = (q_w - q_v)/2, so one store holds only the scalars lambda: ints while
+    the +-1 units are cancelled as in reduce, then field scalars.  The entry
+    of least G-power divides its row and column, so it is cancelled first; a
+    cancelled pair with c > 0 is a piece F[G] --G^c--> F[G].  Exactly one
+    generator must survive, in homological degree 0, its quantum degree s.
 
     Returns the normal form as a complex over Z[G] (generator "s" and pieces
     "p<i>a" -> "p<i>b" of value G^c) together with its NormalForm data.
@@ -378,9 +377,19 @@ def field_normal_form(
     _require_valid(complex, "field_normal_form")
     if complex.total_rank == 0:
         return GradedComplex([], {}), NormalForm(s=None, pieces=())
-    store = _Store.load(complex, characteristic)
+    store = _Store.load(complex)
+    store.eliminate()
+    store.p = p = characteristic
+    deg, inc = store.deg, store.inc
+    for src, row in store.out.items():
+        for tgt, v in list(row.items()):
+            v = Fraction(v) if p == 0 else v % p
+            if v:
+                row[tgt] = inc[tgt][src] = v
+                store.heap.append((deg[tgt][1] - deg[src][1], deg[src][0], src, tgt))
+            else:
+                del row[tgt], inc[tgt][src]
     pieces = tuple(sorted((t, q, dq // 2) for t, q, dq in store.eliminate() if dq))
-    deg = store.deg
     free = sorted(deg, key=lambda g: (deg[g], g))
     if len(free) != 1 or deg[free[0]][0] != 0:
         raise NotKnotLikeError(

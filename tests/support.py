@@ -79,6 +79,44 @@ def stretched_ck1(n):
     return GradedComplex(gens, entries)
 
 
+def reference_validate(complex: GradedComplex) -> list[str]:
+    """validate as three separate scans (odd q, steps, d^2), through the public
+    accessors; kept as the oracle for the one-walk validate."""
+    problems: list[str] = []
+    for g in complex.generators:
+        if g.qdeg % 2 != 0:
+            problems.append(f"generator {g.id}: odd quantum degree {g.qdeg}")
+    for src, tgt, _ in complex.iter_entries():
+        step = complex.gen(tgt).tdeg - complex.gen(src).tdeg
+        if step != 1:
+            problems.append(f"entry {src}->{tgt}: homological step {step} != 1")
+    # d o d = 0: every path x -> y -> z has the G-power (q_z - q_x)/2, so
+    # the scalars are summed per target
+    for x in complex.ids():
+        acc: dict[str, int] = {}
+        for y, v1 in complex.out_of(x).items():
+            for z, v2 in complex.out_of(y).items():
+                acc[z] = acc.get(z, 0) + v1 * v2
+        for z, scal in acc.items():
+            if scal != 0:
+                gp = (complex.gen(z).qdeg - complex.gen(x).qdeg) // 2
+                problems.append(f"d^2 != 0: {x}->{z} residue {scal}*G^{gp}")
+    return problems
+
+
+def random_invalid(rng, rank=6, entries=9):
+    """A complex with random degrees and entries: odd qdegs, steps other than
+    1 and d^2 residues, alone or mixed.  Only entries the constructor admits
+    (q rises by an even amount) are drawn."""
+    gens = [Generator(f"g{i}", rng.randint(-1, 2), 2 * rng.randint(-1, 1) + (rng.random() < 0.1)) for i in range(rank)]
+    out = {}
+    for _ in range(entries):
+        a, b = rng.sample(gens, 2)
+        if b.qdeg >= a.qdeg and (b.qdeg - a.qdeg) % 2 == 0:
+            out[(a.id, b.id)] = rng.choice((1, -1, 2, -3))
+    return GradedComplex(gens, out)
+
+
 def reference_distance_d(c1, c2, bound=None):
     """distance_d by scanning n = 0, 1, 2, ... up to the bound."""
     if bound is None:

@@ -1,4 +1,6 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from khconc import (
     euler_char,
     from_json,
     graded_rank,
+    parse_braid,
     shift,
     tensor,
     to_json,
@@ -22,6 +25,8 @@ from khconc import (
     validate,
 )
 
+import support
+from cube import exact_cube
 from support import monomial
 
 
@@ -81,6 +86,38 @@ class TestValidate:
     def test_odd_qdeg_flagged(self):
         c = GradedComplex([Generator("a", 0, 1)], {})
         assert any("odd" in p for p in validate(c))
+
+    def test_homological_step_flagged(self):
+        gens = [Generator("a", 0, 0), Generator("b", 0, 0), Generator("c", 2, 0)]
+        c = GradedComplex(gens, {("a", "b"): 1, ("a", "c"): 2})
+        assert validate(c) == ["entry a->b: homological step 0 != 1", "entry a->c: homological step 2 != 1"]
+
+    def test_non_int_scalar_rejected(self):
+        gens = [Generator("a", 0, 0), Generator("b", 1, 0), Generator("c", 0, 2)]
+        for bad in (0.5, 1.0, True, Fraction(1), "1"):
+            for val in (bad, GElem(bad, 0)):
+                with pytest.raises(ValueError, match=f"entry a->b: scalar {re.escape(repr(bad))} is not an int"):
+                    GradedComplex(gens, {("a", "b"): val})
+
+    def test_matches_reference_on_invalid_complexes(self):
+        rng = random.Random(29)
+        seen = set()
+        for _ in range(300):
+            c = support.random_invalid(rng)
+            problems = validate(c)
+            assert problems == support.reference_validate(c)
+            seen.update(kind for kind in ("odd quantum", "homological step", "d^2") if any(kind in p for p in problems))
+        assert seen == {"odd quantum", "homological step", "d^2"}
+
+    def test_matches_reference_on_valid_complexes(self):
+        rng = random.Random(31)
+        cases = [exact_cube(parse_braid(b)) for b in ("BR[2; 1,1,1]", "BR[3; 1,-2,1,-2]")]
+        for _ in range(20):
+            cases += [support.random_knotlike(rng), rand_staircase(rng)]
+            cases.append(support.scramble(support.random_knotlike(rng), rng))
+            cases.append(support.scramble(rand_staircase(rng), rng))
+        for c in cases:
+            assert validate(c) == support.reference_validate(c) == []
 
 
 class TestGradedRank:

@@ -23,7 +23,7 @@ from khconc import (
     z_equivalent,
     z_iso_exists,
 )
-from khconc import complexes, intmat, invariants, parse_braid, reduce
+from khconc import complexes, intmat, invariants, parse_braid, reduce, simplify
 from khconc.invariants import g1_matrix, integer_homology_profile, tuple_from_filtration
 
 import support
@@ -242,7 +242,7 @@ class TestSchuetzSz:
     def test_validation_precedes_reduction(self):
         c = support.invalid_reducing_to_unit()
         calls = [
-            ("rasmussen_s", lambda c: rasmussen_s(c, 0)),
+            ("field_normal_form", lambda c: rasmussen_s(c, 0)),
             ("schuetz_sz", schuetz_sz),
             ("knot-likeness", knotlike_check),
             ("z_iso_exists", lambda c: z_iso_exists(c, unit_complex(), 0)),
@@ -295,12 +295,11 @@ class TestSchuetzSz:
 
 
 def test_validate_once_per_entry_point(monkeypatch):
-    # rasmussen_s validates twice: field_normal_form is public and validates too
     expected = {
         "schuetz_sz": (schuetz_sz, 1),
         "knotlike_check": (knotlike_check, 1),
         "generator_cycle": (generator_cycle, 1),
-        "rasmussen_s": (lambda c: rasmussen_s(c, 0), 2),
+        "rasmussen_s": (lambda c: rasmussen_s(c, 0), 1),
         "z_equivalent": (lambda c: z_equivalent(c, c), 2),
         "distance_d": (lambda c: distance_d(c, c, 1), 2),
         "z_iso_exists": (lambda c: z_iso_exists(c, c, 0), 2),
@@ -320,3 +319,25 @@ def test_validate_once_per_entry_point(monkeypatch):
         call(build_ck(1))
         counts[name] = len(calls)
     assert counts == {name: n for name, (_, n) in expected.items()}
+
+
+def test_rasmussen_s_loads_one_store_and_does_not_reduce(monkeypatch):
+    loads, reduces = [], []
+    load, reduce_ = simplify._Store.load.__func__, simplify.reduce
+
+    def counted_load(cls, c):
+        loads.append(c)
+        return load(cls, c)
+
+    def counted_reduce(c):
+        reduces.append(c)
+        return reduce_(c)
+
+    monkeypatch.setattr(simplify._Store, "load", classmethod(counted_load))
+    for module in (simplify, invariants):
+        monkeypatch.setattr(module, "reduce", counted_reduce)
+    c = exact_cube(parse_braid("BR[2; 1,1,1]"))
+    for ch in (0, 2, 3):
+        loads.clear()
+        assert rasmussen_s(c, ch) == 2
+        assert (len(loads), reduces) == (1, [])
