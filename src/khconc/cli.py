@@ -47,6 +47,18 @@ def _parse_diagram(token: str, basepoint: int | None) -> khovanov.PDCode | None:
     return khovanov.analyze_pd(list(pd.crossings), basepoint=basepoint)
 
 
+def _read_complex(path: str) -> complexes.GradedComplex:
+    """The complex in the JSON file at path; an unreadable or malformed file
+    is an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return complexes.from_json(fh.read())
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _load_complex(
     token: str, cap: int | None, basepoint: int | None, single: bool = False
 ) -> complexes.GradedComplex:
@@ -69,8 +81,7 @@ def _load_complex(
         for flag, value in (("--cap", cap), ("--basepoint", basepoint)):
             if single and value is not None:
                 raise InputError(f"{flag} applies to PD and BR codes, not to the complex file {stripped}")
-        with open(stripped, "r", encoding="utf-8") as fh:
-            c = complexes.from_json(fh.read())
+        c = _read_complex(stripped)
         problems = complexes.validate(c)
         if problems:
             raise InputError(f"{stripped} is not a valid complex: " + "; ".join(problems))
@@ -189,11 +200,7 @@ def _cmd_dist(args) -> int:
 def _cmd_validate(args) -> int:
     if not os.path.exists(args.input):
         raise InputError(f"no such file {args.input!r}")
-    with open(args.input, "r", encoding="utf-8") as fh:
-        try:
-            c = complexes.from_json(fh.read())
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+    c = _read_complex(args.input)
     problems = complexes.validate(c)
     if problems:
         for p in problems:

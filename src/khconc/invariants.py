@@ -24,20 +24,20 @@ several of them share, assumes input that has passed validate.
 At G = 1 every +-1 entry is a unit, whatever its G-power, so knot-likeness
 and the H_0 class data cancel all of them first (Bar-Natan's Gaussian
 elimination, "Fast Khovanov homology computations", JKTR 16, 2007).
-Smith forms and dense kernels run on the small remainder only, the class
-data are mapped back through the logged cancellations, and each filtration
-level is one sparse elimination (simplify._eliminate).  Both follow only
-the degrees that hold generators, not the span between them.
+Smith forms and dense kernels run on the small remainder only, and the
+class data are mapped back through the logged cancellations.  Filtration
+level k is the image gcd of zeq's chain-map lattice from q^k Z[G], one
+sparse elimination (simplify._eliminate) per quantum degree that holds a
+degree-0 generator, not per degree in the span between them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import intmat
-from .complexes import Generator, GradedComplex, _require_valid
-from .simplify import NotKnotLikeError, _Form, _Store, _eliminate, field_normal_form, reduce
+from .complexes import Generator, GradedComplex, _require_valid, unit_complex
+from .simplify import NotKnotLikeError, _Store, field_normal_form, reduce
 
 
 def _reduced(complex: GradedComplex, layer: str) -> GradedComplex:
@@ -249,28 +249,29 @@ def _dense_h0(complex: GradedComplex) -> tuple[list[str], list[int], list[int]]:
 
 # the longest filtration tuple schuetz_sz writes out, not counting k0
 _MAX_GL = 10**4
+# unit_complex() and its zeq._side, written out: u is its own cycle and
+# class covector, and no entry leads into it
+_UNIT = unit_complex()
+_UNIT_SIDE = (["u"], [1], [1], {"u": (0, [])})
 
 
 def schuetz_sz(complex: GradedComplex) -> SZTuple:
     """The filtration tuple of H_0(C at G=1) by quantum-degree support.
 
-    m_k is the gcd of phi on the cycles in quantum degrees >= k: the gcd of
-    what _eliminate leaves of it on the degree-0 equations in those degrees.
-    It changes only at the qdegs of degree-0 generators, so it is computed
+    A chain map of quantum degree k from the unit t^0 q^0 Z[G] to C sends
+    u to sum_y a_y G^((q_y - k)/2) y.  It is a chain map exactly when
+    sum_y a_y y is an integer cycle supported in quantum degrees >= k, and
+    lambda of it is phi . a.  So m_k, the gcd of phi on those cycles, is
+    the image gcd of zeq's chain-map lattice from the unit in degree k.  It
+    changes only at the qdegs of degree-0 generators, so it is computed
     once per qdeg.  A gl above _MAX_GL raises ValueError.
     """
+    from . import zeq  # zeq imports this module
+
     complex = _reduced(complex, "schuetz_sz")
-    srcs, phi, _ = _h0_class_data(complex)
-    qdegs = [complex.gen(gid).qdeg for gid in srcs]
-    rows: dict[str, _Form] = {}
-    for j, gid in enumerate(srcs):
-        for tgt, val in complex.out_of(gid).items():
-            rows.setdefault(tgt, {})[j] = val
-    m_at: dict[int, int] = {}
-    for k in sorted(set(qdegs), reverse=True):
-        equations = [{j: c for j, c in row.items() if qdegs[j] >= k} for row in rows.values()]
-        weight = {j: c for j, c in enumerate(phi) if c and qdegs[j] >= k}
-        m_at[k] = math.gcd(*_eliminate(equations, weight)[1].values())
+    side = zeq._side(complex)
+    qdegs = {complex.gen(gid).qdeg for gid in side[0]}
+    m_at = {k: zeq._lattice(_UNIT, complex, k, _UNIT_SIDE, side).image_gcd for k in qdegs}
     # phi . z = 1 for the cycle z on all of degree 0, so some m is 1
     top = max(k for k, m in m_at.items() if m)
     full = max(k for k, m in m_at.items() if m == 1)

@@ -245,15 +245,21 @@ def connected_sum_pd(pd1: PDCode, pd2: PDCode) -> PDCode:
 
 
 def _crossing_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(CAP_ENV_VAR)
-    if env:
+    """The cap given, else KHCONC_CROSSING_CAP, else the default; a negative
+    cap is a malformed value, not a cap to exceed."""
+    if cap is None:
+        env = os.environ.get(CAP_ENV_VAR)
+        if not env:
+            return DEFAULT_CROSSING_CAP
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as exc:
             raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_CROSSING_CAP
+        if cap < 0:
+            raise ValueError(f"{CAP_ENV_VAR} must be nonnegative, got {env!r}")
+    elif cap < 0:
+        raise ValueError(f"crossing cap must be nonnegative, got {cap}")
+    return cap
 
 
 def build_complex(pd: PDCode, cap: int | None = None) -> GradedComplex:

@@ -17,9 +17,10 @@ store of the complex's plain scalars, with G-powers implied by the degrees.
     entry is a pivot, and reduce's loop, taking the entry of least G-power
     first, leaves the free summand and reports the pieces.
 
-_eliminate, the sparse integer elimination behind the filtration tuple and
-zeq's chain-map lattice, takes Euclid's steps on linear forms toward a
-Hermite form; a +-1 pivot ends its equation in one round, as in reduce.
+_eliminate, the sparse integer elimination behind zeq's chain-map lattice
+(and so behind the filtration tuple, whose levels are such lattices), takes
+Euclid's steps on linear forms toward a Hermite form; a +-1 pivot ends its
+equation in one round, as in reduce.
 """
 
 from __future__ import annotations
@@ -206,36 +207,21 @@ _Form = dict[int, int]
 
 
 def _eliminate(equations: list[_Form], weight: _Form) -> tuple[list[tuple[int, int, int]], _Form]:
-    """Unimodular column operations, on copies, until no linked equation is left.
+    """Unimodular column operations, on copies, until no equation is left.
 
-    An equation is linked when a chain of equations sharing unknowns joins
-    it to an unknown of the weight.  The others form blocks of their own:
-    the kernel is the direct sum of the blocks' kernels, and the weight
-    vanishes on theirs, so they are neither copied nor worked on; their
-    unknowns keep the value 0 in zeq's witness.  The linked equations are
-    taken in order.  The pivot of the current one is its least |coefficient|
-    a, on unknown u (ties: the unknown in the fewest forms, then the
-    lowest).  Every other unknown v, with coefficient b, gets column
-    v -= q column u in every form, q = b // a; the step (u, v, q) maps
-    values in the new unknowns back by x_u -= q x_v.  Once a x_u stands
-    alone, x_u = 0 is forced and u is dropped from every form.  Each round
-    lowers the least |coefficient| or ends the equation.  The weight rides
-    along as the last row and is never a pivot, so its image on the kernel
-    does not change.  Returns the steps in order and what is left of the
-    weight, over unknowns that are now free.
+    The equations are taken in order.  The pivot of the current one is its
+    least |coefficient| a, on unknown u (ties: the unknown in the fewest
+    forms, then the lowest).  Every other unknown v, with coefficient b,
+    gets column v -= q column u in every form, q = b // a; the step
+    (u, v, q) maps values in the new unknowns back by x_u -= q x_v.  Once
+    a x_u stands alone, x_u = 0 is forced and u is dropped from every form.
+    Each round lowers the least |coefficient| or ends the equation.  The
+    weight rides along as the last row and is never a pivot, so its image
+    on the kernel does not change.  Returns the steps in order and what is
+    left of the weight, over unknowns that are now free.  zeq._lattice
+    builds the weight's block only; another block would change nothing.
     """
-    holders: dict[int, list[int]] = defaultdict(list)
-    for k, form in enumerate(equations):
-        for u in form:
-            holders[u].append(k)
-    linked: set[int] = set()
-    todo = list(weight)
-    while todo:
-        for k in holders.pop(todo.pop(), ()):
-            if k not in linked:
-                linked.add(k)
-                todo.extend(equations[k])
-    out = [dict(equations[k]) for k in sorted(linked)] + [dict(weight)]
+    out = [dict(form) for form in equations] + [dict(weight)]
     inc: dict[int, dict[int, int]] = defaultdict(dict)
     for k, form in enumerate(out):
         for u, c in form.items():

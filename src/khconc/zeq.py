@@ -17,7 +17,9 @@ and equations a walk from the weight's unknowns reaches through the
 equations that hold them.  The other blocks share no unknown with it, and
 lambda is 0 on their kernels.  Once no equation is left every unknown is
 free, so g is the gcd of what remains of the weight.  A kernel basis of
-the block is computed only if ChainMapLattice.basis is read.
+the block is computed only if ChainMapLattice.basis is read.  The same
+lattice from the unit complex in degree k gives level k of the filtration
+tuple (invariants.schuetz_sz).
 """
 
 from __future__ import annotations
@@ -131,24 +133,23 @@ def chain_map_lattice(
     """
     _require_valid(source, "chain_map_lattice")
     _require_valid(target, "chain_map_lattice")
-    return _lattice(source, target, qdegree, _h0_class_data(source), _h0_class_data(target))
-
-
-def _inverse(complex: GradedComplex) -> dict[str, tuple[int, list[tuple[str, int]]]]:
-    """Each generator's position and the entries (w, d(w, .)) into it, w in generator order."""
-    into: dict[str, tuple[int, list[tuple[str, int]]]] = {gid: (k, []) for k, gid in enumerate(complex.ids())}
-    for w, x, v in complex.iter_entries():
-        into[x][1].append((w, v))
-    return into
+    return _lattice(source, target, qdegree, _side(source), _side(target))
 
 
 def _side(complex: GradedComplex) -> tuple:
-    """_h0_class_data followed by _inverse: what _lattice reads of one complex."""
-    return (*_h0_class_data(complex), _inverse(complex))
+    """What _lattice reads of one complex: _h0_class_data, then each
+    generator's position and the entries (w, d(w, .)) into it, w in
+    generator order."""
+    h0 = _h0_class_data(complex)
+    into: dict[str, tuple[int, list[tuple[str, int]]]] = {gid: (k, []) for k, gid in enumerate(complex.ids())}
+    for w, x, v in complex.iter_entries():
+        into[x][1].append((w, v))
+    return (*h0, into)
 
 
 def _lattice(source: GradedComplex, target: GradedComplex, qdegree: int, src: tuple, tgt: tuple) -> ChainMapLattice:
-    """chain_map_lattice given both complexes' _h0_class_data, each maybe followed by _inverse.
+    """chain_map_lattice given both complexes' _side; also each level of
+    invariants.schuetz_sz, from the unit complex.
 
     Unknown (x, y) lies in the equations (w, y) for w -> x and (x, z) for
     y -> z; equation (x, z) holds the admissible (y, z) for x -> y and
@@ -160,10 +161,8 @@ def _lattice(source: GradedComplex, target: GradedComplex, qdegree: int, src: tu
     """
     if qdegree % 2 != 0:
         raise ValueError(f"quantum degree must be even, got {qdegree}")
-    ssrcs, _, cycle, *known = src
-    tsrcs, phi, _, *tknown = tgt
-    s_in = known[0] if known else _inverse(source)
-    t_in = tknown[0] if tknown else _inverse(target)
+    ssrcs, _, cycle, s_in = src
+    tsrcs, phi, _, t_in = tgt
 
     def admissible(x: str, y: str) -> bool:
         c2 = target.gen(y).qdeg - source.gen(x).qdeg - qdegree
@@ -203,8 +202,7 @@ def z_iso_exists(source: GradedComplex, target: GradedComplex, qdegree: int) -> 
     Both complexes are validated, then reduced.
     """
     source, target = _reduced(source, "z_iso_exists"), _reduced(target, "z_iso_exists")
-    lattice = _lattice(source, target, qdegree, _h0_class_data(source), _h0_class_data(target))
-    return lattice.image_gcd == 1
+    return _lattice(source, target, qdegree, _side(source), _side(target)).image_gcd == 1
 
 
 def z_equivalent(c1: GradedComplex, c2: GradedComplex) -> bool:

@@ -209,6 +209,17 @@ def test_input_error_is_exit_one(capsys):
     assert "no-such-file.json" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("validate", "{}"), ("s", "{}"), ("sz", "{}"), ("zeq", "{}", "PD[]"), ("dist", "PD[]", "{}")],
+    ids=["validate", "s", "sz", "zeq", "dist"],
+)
+def test_directory_as_complex_file_is_exit_one(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *(a.format(tmp_path) for a in argv))
+    assert code == 1 and not out
+    assert err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
 def test_crossing_cap_is_exit_two(capsys):
     code, _, err = run(capsys, "s", "BR[2; 1,1,1,1,1]", "--cap", "3")
     assert code == 2
@@ -223,6 +234,18 @@ def test_crossing_cap_env_var(capsys, monkeypatch):
     code, out, _ = run(capsys, "s", "BR[2; 1,1,1,1,1]", "--char", "0")
     assert code == 0
     assert out.strip() == "s_0 = 4"
+
+
+@pytest.mark.parametrize("command", ["s", "sz", "kh"])
+def test_negative_crossing_cap_is_exit_one(capsys, monkeypatch, command):
+    code, out, err = run(capsys, command, "PD[]", "--cap", "-1")
+    assert (code, out, err) == (1, "", "error: crossing cap must be nonnegative, got -1\n")
+    monkeypatch.setenv("KHCONC_CROSSING_CAP", "-3")
+    code, out, err = run(capsys, command, "PD[]")
+    assert (code, out, err) == (1, "", "error: KHCONC_CROSSING_CAP must be nonnegative, got '-3'\n")
+    # 0 is a cap like any other: the unknot's diagram has no crossings
+    code, _, _ = run(capsys, command, "PD[]", "--cap", "0")
+    assert code == 0
 
 
 def test_fourteen_crossing_double_end_to_end(capsys):

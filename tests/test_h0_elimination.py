@@ -131,7 +131,7 @@ def test_not_knotlike_is_rejected(bad):
 
 
 def test_schuetz_sz_equals_the_dense_loop():
-    """The sparse elimination per level against one dense kernel per level.
+    """The lattice from the unit per level against one dense kernel per level.
 
     random_knotlike has tuples of length one, so 30 of them are also
     tensored with a complex of longer tuple and scrambled again.
@@ -139,7 +139,7 @@ def test_schuetz_sz_equals_the_dense_loop():
     rng = random.Random(26)
     cases = [support.scramble(support.random_knotlike(rng, max_pieces=3), rng, moves=12) for _ in range(150)]
     factors = [build_ck(1), build_ck(2), build_staircase((2, 4))]
-    factors += [dual(build_staircase(chain)) for chain in ((2, 4), (3,), (2, 2, 2))]
+    factors += [dual(build_staircase(chain)) for chain in ((2, 4), (3,), (2, 2, 2), (3, 9))]
     cases += [support.scramble(tensor(c, rng.choice(factors)), rng, moves=12) for c in cases[:30]]
     cases += [build_ck(k) for k in (1, 2, 3)]
     cases += [dual(build_staircase(chain)) for chain in ((2, 4), (2, 2, 2), (3,))]

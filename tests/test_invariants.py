@@ -23,7 +23,7 @@ from khconc import (
     z_equivalent,
     z_iso_exists,
 )
-from khconc import complexes, intmat, invariants, parse_braid, reduce, simplify
+from khconc import complexes, intmat, invariants, parse_braid, reduce, simplify, zeq
 from khconc.invariants import g1_matrix, integer_homology_profile, tuple_from_filtration
 
 import support
@@ -278,15 +278,15 @@ class TestSchuetzSz:
     def test_one_level_per_qdeg_of_a_degree_zero_generator(self, monkeypatch):
         # x at q = 0, a at q = -2 * 10^7: two levels, not 10^7
         levels = []
-        real = invariants._eliminate
+        real = zeq._lattice
 
-        def counting(equations, weight):
-            levels.append(len(weight))
-            return real(equations, weight)
+        def counting(source, target, qdegree, src, tgt):
+            levels.append(qdegree)
+            return real(source, target, qdegree, src, tgt)
 
-        monkeypatch.setattr(invariants, "_eliminate", counting)
+        monkeypatch.setattr(zeq, "_lattice", counting)
         assert schuetz_sz(support.far_generator(10**7)).as_tuple() == (0,)
-        assert len(levels) == 2
+        assert sorted(levels) == [-2 * 10**7, 0]
 
     def test_divisibility_of_indices(self):
         for c in [dual(build_staircase((2, 4, 8))), build_ck(2)]:

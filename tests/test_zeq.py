@@ -277,7 +277,7 @@ def test_lattice_takes_no_kernel_basis_over_its_unknowns(monkeypatch, fig8_pair)
     cols.clear()
     assert lat.basis and cols == [len(lat.pairs)]
     # once the H_0 data are known, the lattice echelons nothing densely
-    h0 = _h0_class_data(big), _h0_class_data(sheared)
+    h0 = zeq._side(big), zeq._side(sheared)
     echelons = []
     echelon = intmat._echelon
     monkeypatch.setattr(intmat, "_echelon", lambda *args: echelons.append(args) or echelon(*args))
