@@ -33,6 +33,13 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+class _Cap(argparse.Action):
+    """--cap, rejected when negative even if no diagram is built."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, khovanov._crossing_cap(value))
+
+
 def _parse_diagram(token: str, basepoint: int | None) -> khovanov.PDCode | None:
     """The diagram of a PD or BR code with the basepoint given, or None for
     other text.  A braid's own basepoint is its first strand's initial arc."""
@@ -218,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_basepoint=True):
-        p.add_argument("--cap", type=int, default=None, help="crossing cap (default 12, env KHCONC_CROSSING_CAP)")
+        p.add_argument("--cap", type=int, action=_Cap, help="crossing cap (default 12, env KHCONC_CROSSING_CAP)")
         if with_basepoint:
             p.add_argument("--basepoint", type=int, default=None, help="basepoint arc label")
 

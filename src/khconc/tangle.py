@@ -30,6 +30,13 @@ sizes follow the tangle's boundary width rather than 2^n.  In the closed-up
 1-1 tangle every object is the cut arc, whose module X * A is the basepoint
 circle's, and an entry alpha * id + beta * dot becomes the scalar
 alpha - beta because X acts as -G there.
+
+Each memo lives as long as its keys can recur.  A matching names every
+point of its boundary, and no boundary comes back: an arc leaves it at its
+second end, and crossings that left it unchanged would form a split piece.
+So the tangle keeps circles for the current boundary only, from the
+crossing step that made it on; a step's resolutions and gluings (with their
+evaluations) die with the step, and the composition plans with cancel_units.
 """
 
 from __future__ import annotations
@@ -110,6 +117,14 @@ def _hom_circles(m1: Matching, m2: Matching) -> tuple[dict[int, int], list[int]]
     return circle, least
 
 
+class _Circles(dict):
+    """_hom_circles of (m1, m2), memoized for the matchings of one boundary."""
+
+    def __missing__(self, key: tuple[Matching, Matching]) -> tuple[dict[int, int], list[int]]:
+        hit = self[key] = _hom_circles(*key)
+        return hit
+
+
 def _decoration(dots: int, genus: int) -> tuple[int, int]:
     """(alpha, beta) with X^dots h^genus = alpha + beta X at G = 1, where X^2 = -X,
     h = 2X + 1, hX = -X and h^2 = 1."""
@@ -118,15 +133,16 @@ def _decoration(dots: int, genus: int) -> tuple[int, int]:
     return 1, 2 * (genus & 1)
 
 
-class _Gluing:
+class _Gluing(dict):
     """The components of disks glued along seams, with their boundary circles.
 
     circles names the disk each boundary circle lies on; the first nsrc are
     source loops, and the rest are output bits in order.  Each component is
-    (disk mask, genus, source-loop mask, output mask).
+    (disk mask, genus, source-loop mask, output mask).  Indexed by a dot mask,
+    it memoizes evaluate's items for each source labelling.
     """
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "nsrc")
 
     def __init__(self, ndisks: int, seams: list[tuple[int, int]], circles: list[int], nsrc: int, sizes: dict):
         parent = list(range(ndisks))
@@ -162,6 +178,11 @@ class _Gluing:
                     LAYER, f"a glued component has chi {chi} and {b} boundary circles", **sizes
                 )
             self.components.append((disks, twice_genus // 2, src, out))
+        self.nsrc = nsrc
+
+    def __missing__(self, dots: int) -> list[tuple[tuple[int, int], ...]]:
+        hit = self[dots] = [tuple(self.evaluate(dots, labels).items()) for labels in range(1 << self.nsrc)]
+        return hit
 
     def evaluate(self, dots: int, labels: int) -> dict[int, int]:
         """{output bits: scalar} for a dot on each disk in dots and source loops
@@ -208,19 +229,10 @@ class _Tangle:
         self.q: dict[int, int] = {0: 0}
         self.out: dict[int, dict[int, Morphism]] = {0: {}}
         self.inc: dict[int, dict[int, None]] = {0: {}}
-        self._circles: dict[tuple[Matching, Matching], tuple[dict[int, int], list[int]]] = {}
-        self._compose_plans: dict[tuple[Matching, Matching, Matching], tuple[_Gluing, int]] = {}
-        self._composed: dict[tuple, tuple[tuple[int, int], ...]] = {}
+        self.circles = _Circles()
 
     def sizes(self) -> dict[str, int]:
         return {"crossings": self.crossings, "boundary": len(self.boundary), "rank": len(self.out)}
-
-    def circles(self, m1: Matching, m2: Matching) -> tuple[dict[int, int], list[int]]:
-        key = (m1, m2)
-        hit = self._circles.get(key)
-        if hit is None:
-            hit = self._circles[key] = _hom_circles(m1, m2)
-        return hit
 
     # -- adding a crossing ---------------------------------------------------
 
@@ -262,54 +274,47 @@ class _Tangle:
                 my = self.match[y]
                 for eps in (0, 1):
                     src, tgt = first[(x, eps)], first[(y, eps)]
+                    gluing, nc = step.plan(mx, eps, my, eps)
                     for mask, c in f.items():
-                        nc, per_label = step.terms(mx, eps, my, eps, mask)
-                        for labels, terms in enumerate(per_label):
+                        for labels, terms in enumerate(gluing[mask]):
                             emit(src + labels, tgt, nc, terms, c)
-            nc, per_label = step.terms(mx, 0, mx, 1, 0)
+            gluing, nc = step.plan(mx, 0, mx, 1)
             sign = -1 if self.weight[x] & 1 else 1
             src, tgt = first[(x, 0)], first[(x, 1)]
-            for labels, terms in enumerate(per_label):
+            for labels, terms in enumerate(gluing[0]):
                 emit(src + labels, tgt, nc, terms, sign)
 
         for x, row in out.items():
             for y in [y for y, morph in row.items() if not morph]:
                 del row[y], inc[y][x]
-        self.boundary = step.boundary
+        self.boundary, self.circles = step.boundary, step.circles
         self.match, self.weight, self.q, self.out, self.inc = match, weight, q, out, inc
 
     # -- cancellation --------------------------------------------------------
 
-    def compose(self, m1: Matching, m2: Matching, m3: Matching, f: Morphism, g: Morphism) -> Morphism:
-        """g o f, for f: m1 -> m2 and g: m2 -> m3."""
+    def compose(self, plans: dict, m1: Matching, m2: Matching, m3: Matching, f: Morphism, g: Morphism) -> Morphism:
+        """g o f, for f: m1 -> m2 and g: m2 -> m3, with the gluing memoized in plans."""
         key = (m1, m2, m3)
-        plan = self._compose_plans.get(key)
+        plan = plans.get(key)
         if plan is None:
-            plan = self._compose_plans[key] = self._compose_plan(m1, m2, m3)
+            c12, least12 = self.circles[m1, m2]
+            c23, least23 = self.circles[m2, m3]
+            k12 = len(least12)
+            seams = [(c12[a], k12 + c23[a]) for a, _ in m2]
+            circles = [c12[a] for a in self.circles[m1, m3][1]]
+            plan = plans[key] = (_Gluing(k12 + len(least23), seams, circles, 0, self.sizes()), k12)
         gluing, shift = plan
-        memo = self._composed
         acc: Morphism = {}
         for mf, cf in f.items():
             for mg, cg in g.items():
-                mkey = (key, mf, mg)
-                terms = memo.get(mkey)
-                if terms is None:
-                    terms = memo[mkey] = tuple(gluing.evaluate(mf | mg << shift, 0).items())
-                for mask, c in terms:
+                for mask, c in gluing[mf | mg << shift][0]:
                     acc[mask] = acc.get(mask, 0) + cf * cg * c
         return {mask: c for mask, c in acc.items() if c}
-
-    def _compose_plan(self, m1: Matching, m2: Matching, m3: Matching) -> tuple[_Gluing, int]:
-        c12, least12 = self.circles(m1, m2)
-        c23, least23 = self.circles(m2, m3)
-        k12 = len(least12)
-        seams = [(c12[a], k12 + c23[a]) for a, _ in m2]
-        circles = [c12[a] for a in self.circles(m1, m3)[1]]
-        return _Gluing(k12 + len(least23), seams, circles, 0, self.sizes()), k12
 
     def cancel_units(self) -> None:
         """Cancel every entry c * id with c = +-1 between equal matchings at equal q."""
         out, inc, match, q = self.out, self.inc, self.match, self.q
+        plans: dict[tuple[Matching, Matching, Matching], tuple[_Gluing, int]] = {}
         pending = deque(out)
         while pending:
             x = pending.popleft()
@@ -335,7 +340,7 @@ class _Tangle:
                     if morph is None:
                         morph = arow[z] = {}
                         inc[z][a] = None
-                    for mask, c in self.compose(ma, mx, match[z], g, f).items():
+                    for mask, c in self.compose(plans, ma, mx, match[z], g, f).items():
                         v = morph.get(mask, 0) - unit * c
                         if v:
                             morph[mask] = v
@@ -377,8 +382,7 @@ class _Tangle:
 
 
 class _CrossingStep:
-    """One crossing added to one tangle: the new boundary, and the resolutions
-    and tensor terms, memoized."""
+    """One crossing added to one tangle: the new boundary, its circles, and the resolutions and gluings."""
 
     def __init__(self, tangle: _Tangle, cross: tuple[int, int, int, int]):
         self.tangle = tangle
@@ -395,8 +399,8 @@ class _CrossingStep:
         self.boundary = tuple(sorted(ends))
         self.ends = ends
         self._resolved: dict[tuple[Matching, int], tuple[Matching, list[list[int]]]] = {}
-        self._plans: dict[tuple, tuple[_Gluing, int, int]] = {}
-        self._terms: dict[tuple, tuple[int, list]] = {}
+        self._plans: dict[tuple, tuple[_Gluing, int]] = {}
+        self.circles = _Circles()
 
     def resolve(self, m: Matching, eps: int) -> tuple[Matching, list[list[int]]]:
         """The matching of the new boundary and the closed loops (each sorted,
@@ -430,16 +434,16 @@ class _CrossingStep:
         hit = self._resolved[key] = (tuple(sorted(pairs)), loops)
         return hit
 
-    def _plan(self, m1: Matching, eps1: int, m2: Matching, eps2: int) -> tuple[_Gluing, int, int]:
+    def plan(self, m1: Matching, eps1: int, m2: Matching, eps2: int) -> tuple[_Gluing, int]:
         """The gluing of f: m1 -> m2 with the identity of resolution eps1 (when
-        eps1 == eps2) or with the saddle (eps1, eps2) = (0, 1), the count of
-        source loops, and the count of output circles before the target loops."""
+        eps1 == eps2) or with the saddle (eps1, eps2) = (0, 1), and nc, the count
+        of output circles before the target loops: a term is (labels << nc | mask, c)."""
         key = (m1, eps1, m2, eps2)
         hit = self._plans.get(key)
         if hit is not None:
             return hit
         slots_of = self.slots_of
-        circ, least = self.tangle.circles(m1, m2)
+        circ, least = self.tangle.circles[m1, m2]
         k = len(least)
         if eps1 == eps2:
             slot_disk = [0] * 4
@@ -461,22 +465,10 @@ class _CrossingStep:
 
         new1, src_loops = self.resolve(m1, eps1)
         new2, tgt_loops = self.resolve(m2, eps2)
-        new_least = self.tangle.circles(new1, new2)[1]
+        new_least = self.circles[new1, new2][1]
         circles = [disk(loop[0]) for loop in src_loops]
         circles += [disk(a) for a in new_least]
         circles += [disk(loop[0]) for loop in tgt_loops]
         gluing = _Gluing(ndisks, seams, circles, len(src_loops), self.tangle.sizes())
-        hit = self._plans[key] = (gluing, len(src_loops), len(new_least))
-        return hit
-
-    def terms(self, m1: Matching, eps1: int, m2: Matching, eps2: int, mask: int) -> tuple[int, list]:
-        """The basis cobordism mask of m1 -> m2 glued as in _plan: nc, the count
-        of the new matchings' circles, and for each source labelling the
-        (target labelling << nc | mask, scalar) terms."""
-        key = (m1, eps1, m2, eps2, mask)
-        hit = self._terms.get(key)
-        if hit is None:
-            gluing, nsrc, nc = self._plan(m1, eps1, m2, eps2)
-            per_label = [tuple(gluing.evaluate(mask, labels).items()) for labels in range(1 << nsrc)]
-            hit = self._terms[key] = (nc, per_label)
+        hit = self._plans[key] = (gluing, len(new_least))
         return hit

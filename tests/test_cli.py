@@ -248,6 +248,16 @@ def test_negative_crossing_cap_is_exit_one(capsys, monkeypatch, command):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["zeq", "dist"])
+def test_negative_crossing_cap_beside_two_files_is_exit_one(tmp_path, capsys, command):
+    # no diagram is built here, so the cap is checked where the flag is parsed
+    path = tmp_path / "u.json"
+    path.write_text(to_json(unit_complex()))
+    for cap in ("-1", "-3"):
+        code, out, err = run(capsys, command, str(path), str(path), "--cap", cap)
+        assert (code, out, err) == (1, "", f"error: crossing cap must be nonnegative, got {cap}\n")
+
+
 def test_fourteen_crossing_double_end_to_end(capsys):
     # the clasped trefoil double of the stretch test, as PD text; above ten
     # crossings the CLI builds it by tangle assembly

@@ -4,10 +4,14 @@ The literals were recorded from the program; any change to the bytes the
 CLI or the JSON writer emits for these inputs fails here.
 """
 
+import hashlib
+
 import pytest
 
-from khconc import build_ck, build_staircase, dual, to_json
+from khconc import build_ck, build_complex, build_staircase, dual, parse_braid, to_json
 from khconc.cli import main
+
+import support
 
 KNOTS = {
     "3_1": "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]",
@@ -213,3 +217,17 @@ COMPLEXES = {
 @pytest.mark.parametrize("name", sorted(TO_JSON))
 def test_to_json_bytes(name):
     assert to_json(COMPLEXES[name]()) == TO_JSON[name]
+
+
+# SHA-256 of to_json of the assembled complex of each braid closure's clasped
+# double, above the reach of the KH literals: 3_1's has 14 crossings, T(2,5)'s 22
+DOUBLE_SHA256 = {
+    "BR[2; 1,1,1]": "8db2132f2132996ca3bc8160e2d13ce51204475ececa1c4a74332250f2fb0ea3",
+    "BR[2; 1,1,1,1,1]": "85163a76cfd71a1a2541179aa35543be6f27e0c9d969b1fd689973983568995b",
+}
+
+
+@pytest.mark.parametrize("word", sorted(DOUBLE_SHA256))
+def test_double_to_json_digest(word):
+    text = to_json(build_complex(support.double_pd(parse_braid(word), clasp="A"), cap=100))
+    assert hashlib.sha256(text.encode()).hexdigest() == DOUBLE_SHA256[word]

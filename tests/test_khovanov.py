@@ -296,10 +296,31 @@ class TestTangleAssembly:
         # undotted disks glued along m2's three arcs make a once-punctured torus:
         # h = 2X + G, and X * h = -GX; at G = 1 mask 1 is the dotted disk
         m1, m2, m3 = ((1, 2), (3, 4), (5, 6)), ((1, 6), (2, 3), (4, 5)), ((1, 4), (2, 5), (3, 6))
-        t = tangle._Tangle(0)
-        assert t.compose(m1, m2, m3, {0: 1}, {0: 1}) == {0: 1, 1: 2}
-        assert t.compose(m1, m2, m3, {1: 1}, {0: 1}) == {1: -1}
-        assert t.compose(m1, m2, m3, {0: 3}, {1: -1}) == {1: 3}
+        t, plans = tangle._Tangle(0), {}
+        assert t.compose(plans, m1, m2, m3, {0: 1}, {0: 1}) == {0: 1, 1: 2}
+        assert t.compose(plans, m1, m2, m3, {1: 1}, {0: 1}) == {1: -1}
+        assert t.compose(plans, m1, m2, m3, {0: 3}, {1: -1}) == {1: 3}
+
+    def test_memos_hold_only_the_current_boundary(self, monkeypatch):
+        # a matching names every point of its boundary, and a boundary once
+        # left never comes back, so after each crossing every memo the tangle
+        # still holds must be keyed by matchings of the boundary it is on
+        complex_fields = {"crossings", "boundary", "match", "weight", "q", "out", "inc"}
+        cancel_units = tangle._Tangle.cancel_units
+        checked = []
+
+        def cancel_and_check(t):
+            cancel_units(t)
+            keys = [key for name, memo in vars(t).items() if name not in complex_fields for key in memo]
+            for key in keys:
+                for m in key:
+                    assert sorted(a for pair in m for a in pair) == list(t.boundary), key
+            checked.append(len(keys))
+
+        monkeypatch.setattr(tangle._Tangle, "cancel_units", cancel_and_check)
+        pd = support.double_pd(parse_braid("BR[2; 1,1,1]"), clasp="A")
+        assemble(pd)
+        assert len(checked) == 14 and all(checked)
 
     def test_cut_arc_missing_from_final_boundary_is_internal_error(self):
         # a PDCode made by hand, basepointed on an arc the diagram lacks, so nothing is cut
